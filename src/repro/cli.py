@@ -7,8 +7,9 @@ Usage (installed as ``repro`` or via ``python -m repro``)::
     repro validate --reps 500           # all 8 tables + shape criteria
     repro demo --scheme A_D_S           # trace one simulated run
     repro record-golden                 # stamp reference traces
-    repro replay tests/goldens          # drift-check them (first
-                                        # diverging event, exit 1)
+    repro replay tests/goldens          # drift-check every trace under
+                                        # it (first diverging event,
+                                        # exit 1)
     repro list                          # available tables
     repro worker tcp://host:8642        # serve blocks for a coordinator
     repro serve --cache ~/.repro-cells  # study service daemon (HTTP)
@@ -209,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="PATH",
         help=(
-            "golden trace files (or directories of *.jsonl goldens); "
+            "golden trace files of either kind (executor or taskset), "
+            "or directories searched recursively for *.jsonl goldens; "
             "defaults to the checkout's tests/goldens/ with "
             "--update-goldens"
         ),
@@ -224,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-goldens",
         action="store_true",
         help=(
-            "re-record the golden matrix in place and print a per-file, "
-            "event-level diff of what changed (for review before "
-            "committing; see README 'Regenerating goldens')"
+            "re-record the curated goldens (executor matrix and taskset "
+            "trace) in place and print a per-file, event-level diff of "
+            "what changed (for review before committing; see README "
+            "'Regenerating goldens')"
         ),
     )
 

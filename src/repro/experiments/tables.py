@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.plans import cell_label as _plan_cell_label
-from repro.api.plans import row_cells, table_cell_job, table_cells
+from repro.api.plans import row_cells, table_cells
 from repro.errors import ConfigurationError
 from repro.experiments.config import TableSpec, table_spec
 from repro.experiments.paper_data import PaperCell, paper_cell
@@ -106,36 +105,6 @@ class TableResult:
     @property
     def schemes(self) -> Tuple[str, ...]:
         return self.spec.schemes
-
-
-def _cell_job(
-    spec: TableSpec,
-    u: float,
-    lam: float,
-    column: int,
-    *,
-    reps: int,
-    source: RandomSource,
-    faults_during_overhead: bool,
-    fast_static: bool = False,
-):
-    """Back-compat alias for :func:`repro.api.plans.table_cell_job`.
-
-    The canonical builder (and the per-cell seed fork it encodes) lives
-    in the façade's plan layer now, shared with the declarative
-    ``StudySpec`` path; this wrapper keeps the historical private name
-    working for callers that imported it.
-    """
-    return table_cell_job(
-        spec,
-        u,
-        lam,
-        column,
-        reps=reps,
-        source=source,
-        faults_during_overhead=faults_during_overhead,
-        fast_static=fast_static,
-    )
 
 
 def _assemble_row(
@@ -279,7 +248,3 @@ def assemble_table_result(
     ]
     return TableResult(spec=spec, reps=reps, seed=seed, rows=rows)
 
-
-# Back-compat alias: the canonical label function moved to the façade's
-# plan layer (repro.api.plans.cell_label).
-_cell_label = _plan_cell_label

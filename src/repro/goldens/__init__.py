@@ -10,6 +10,11 @@ against the current tree and reports the *first diverging event* —
 index, kind, expected-vs-actual payload, surrounding context and a
 rendered timeline — instead of a bare bit-identity failure.  It
 doubles as a user-facing audit tool for replaying production runs.
+
+It is the one trace engine of the repository: the multi-task EDF
+engine's golden (:mod:`repro.goldens.taskset`, format tag
+``repro.taskset-trace/1``) shares the reader, writer, replay and drift
+reports, and ``repro replay`` picks the kind from each file's header.
 """
 
 from repro.goldens.events import RecordingRecorder, TraceEvent, payload_diff
@@ -21,6 +26,7 @@ from repro.goldens.replay import (
     default_golden_dir,
     record_golden,
     record_matrix,
+    record_taskset_golden,
     replay,
     replay_paths,
     resolve_golden_paths,
@@ -35,6 +41,7 @@ from repro.goldens.scenarios import (
 )
 from repro.goldens.trace_io import (
     FORMAT,
+    TASKSET_FORMAT,
     JsonlTraceWriter,
     TraceHeader,
     read_golden,
@@ -50,6 +57,7 @@ __all__ = [
     "GoldenUpdate",
     "JsonlTraceWriter",
     "RecordingRecorder",
+    "TASKSET_FORMAT",
     "TraceEvent",
     "TraceHeader",
     "default_golden_dir",
@@ -57,6 +65,7 @@ __all__ = [
     "read_golden",
     "record_golden",
     "record_matrix",
+    "record_taskset_golden",
     "replay",
     "replay_paths",
     "resolve_golden_paths",

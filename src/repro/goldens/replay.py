@@ -1,40 +1,51 @@
 """Record and replay golden traces; report the first diverging event.
 
-:func:`record_golden` runs a scenario through the *reference* executor
-loop and streams every trace callback (plus the final ``result``
-summary) to a JSONL golden file.  :func:`replay` re-executes the
-scenario against the current tree with a :class:`DivergenceRecorder`
-that compares events online: the moment a callback disagrees with the
-golden — in kind or in any bit of any float — the run halts and the
-:class:`DriftReport` names the inflection point (event index, kind,
-expected-vs-actual fields) with the surrounding events and a rendered
-timeline excerpt, instead of the bare "bit-identity failed" an
-end-of-run byte-diff gives.
+One engine serves both trace kinds; :func:`replay` picks the kind from
+the header's ``format`` tag.
 
-A replay that matches event-for-event additionally re-runs the fused
+Executor traces (``repro.golden-trace/1``): :func:`record_golden` runs
+a scenario through the *reference* executor loop and streams every
+trace callback (plus the final ``result`` summary) to a JSONL golden
+file.  :func:`replay` re-executes the scenario against the current
+tree with a :class:`DivergenceRecorder` that compares events online:
+the moment a callback disagrees with the golden — in kind or in any
+bit of any float — the run halts and the :class:`DriftReport` names
+the inflection point (event index, kind, expected-vs-actual fields)
+with the surrounding events and a rendered timeline excerpt, instead
+of the bare "bit-identity failed" an end-of-run byte-diff gives.  A
+replay that matches event-for-event additionally re-runs the fused
 Monte-Carlo fast loop (:func:`~repro.sim.executor.execute_once`) and
-checks its outcome against the golden's ``result`` record — the guard
-that keeps a future compiled kernel honest even where the traced
-reference loop did not change.
+checks its outcome against the golden's ``result`` record.
+
+Taskset traces (``repro.taskset-trace/1``,
+:mod:`repro.goldens.taskset`): :func:`record_taskset_golden` records
+one rep of the EDF workload engine; replay re-runs it, compares the
+header's ``selection`` first and then the ``job``/``summary`` events,
+and reports through the same :class:`Divergence` and
+:class:`DriftReport`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.results import git_describe
 from repro.core.checkpoints import CheckpointKind
 from repro.errors import ConfigurationError
+from repro.goldens import taskset
 from repro.goldens.events import RecordingRecorder, TraceEvent, payload_diff
-from repro.goldens.scenarios import (
-    GOLDEN_SCENARIOS,
-    GoldenScenario,
-    scenario,
+from repro.goldens.scenarios import GOLDEN_SCENARIOS, GoldenScenario, scenario
+from repro.goldens.trace_io import (
+    FORMAT,
+    TASKSET_FORMAT,
+    JsonlTraceWriter,
+    TraceHeader,
+    read_golden,
 )
-from repro.goldens.trace_io import JsonlTraceWriter, TraceHeader, read_golden
 from repro.sim.executor import RunOutcome, RunResult, execute_once, simulate_run
 from repro.sim.trace import TeeRecorder, Trace, TraceRecorder
 
@@ -46,6 +57,7 @@ __all__ = [
     "default_golden_dir",
     "record_golden",
     "record_matrix",
+    "record_taskset_golden",
     "replay",
     "replay_paths",
     "resolve_golden_paths",
@@ -129,13 +141,60 @@ def record_golden(scen: GoldenScenario, directory: str) -> str:
 def record_matrix(
     directory: str, names: Optional[Sequence[str]] = None
 ) -> List[str]:
-    """Record the curated matrix (or a named subset); return the paths."""
+    """Record the curated executor matrix (or a named subset); return
+    the paths."""
     chosen = (
         list(GOLDEN_SCENARIOS)
         if names is None
         else [scenario(name) for name in names]
     )
     return [record_golden(scen, directory) for scen in chosen]
+
+
+def record_taskset_golden(path: str) -> str:
+    """Record the curated taskset scenario
+    (:data:`~repro.goldens.taskset.GOLDEN_JOB`) as a golden at ``path``."""
+    selection, events = taskset.simulate(taskset.GOLDEN_JOB)
+    header = TraceHeader(
+        scenario=taskset.scenario_payload(taskset.GOLDEN_JOB),
+        git=git_describe(),
+        format=TASKSET_FORMAT,
+        selection=selection,
+    )
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with JsonlTraceWriter(path, header) as writer:
+        for event in events:
+            writer.write(event)
+    return path
+
+
+def _curated(
+    names: Optional[Sequence[str]] = None,
+) -> List[Tuple[str, str, Callable[[str], str]]]:
+    """The curated goldens of both kinds (or a named subset).
+
+    Each entry is ``(name, path under the golden directory, record)``;
+    ``record(directory)`` re-records the golden there and returns its
+    path.
+    """
+    curated: Dict[str, Tuple[str, Callable[[str], str]]] = {
+        scen.name: (f"{scen.name}.jsonl", partial(record_golden, scen))
+        for scen in GOLDEN_SCENARIOS
+    }
+    curated[taskset.GOLDEN_NAME] = (
+        taskset.GOLDEN_FILE,
+        lambda directory: record_taskset_golden(
+            os.path.join(directory, taskset.GOLDEN_FILE)
+        ),
+    )
+    for name in names or ():
+        if name not in curated:
+            raise ConfigurationError(
+                f"unknown golden scenario {name!r}; valid names: "
+                f"{', '.join(curated)}"
+            )
+    chosen = list(curated) if names is None else names
+    return [(name, *curated[name]) for name in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +217,11 @@ class Divergence:
     ``reason`` is one of ``"mismatch"`` (event ``index`` differs),
     ``"extra-event"`` (the replay produced an event past the golden's
     end), ``"missing-event"`` (the replay finished before the golden
-    did) or ``"result"`` (every event matched but the final
+    did), ``"result"`` (every event matched but the final
     :class:`RunResult` summary differs — e.g. a perturbed energy
-    coefficient, which no timeline event carries).
+    coefficient, which no timeline event carries) or ``"header"`` (a
+    taskset trace's recorded ``selection`` differs from the re-run's;
+    ``index`` is -1, ahead of event 0).
     """
 
     index: int
@@ -185,7 +246,8 @@ class DivergenceRecorder(TraceRecorder):
     """Compares the replayed run to the golden's events, online.
 
     Each callback is normalised through the same
-    :class:`~repro.goldens.events.RecordingRecorder` the writer used,
+    :class:`~repro.goldens.events.RecordingRecorder` the writer used
+    (events of a finished re-run go straight to :meth:`observe`),
     compared bit-exactly against the next expected event, and — on the
     first disagreement — stored as :attr:`divergence` before
     :class:`DivergenceHalt` aborts the run (there is nothing left to
@@ -198,8 +260,24 @@ class DivergenceRecorder(TraceRecorder):
         self.matched = 0
         self.divergence: Optional[Divergence] = None
 
+    def outcome(self) -> Optional[Divergence]:
+        """The divergence once the run has ended, halted or not: a run
+        that ended short of the golden diverges at its first missing
+        event."""
+        if self.divergence is None and self.matched < len(self._expected):
+            return Divergence(
+                index=self.matched,
+                reason="missing-event",
+                expected=self._expected[self.matched],
+                actual=None,
+            )
+        return self.divergence
+
     def _check(self) -> None:
-        actual = self._normaliser.events.pop()
+        self.observe(self._normaliser.events.pop())
+
+    def observe(self, actual: TraceEvent) -> None:
+        """Compare the next replayed event; halt at the first divergence."""
         index = self.matched
         if index >= len(self._expected):
             self.divergence = Divergence(
@@ -251,6 +329,7 @@ class DriftReport:
 
     scenario_name: str
     path: str
+    format: str  #: the golden's format tag (its trace kind)
     events_total: int  #: events in the golden (incl. the result record)
     events_matched: int  #: events confirmed identical before the end/halt
     divergence: Optional[Divergence]
@@ -275,16 +354,23 @@ class DriftReport:
             f"replayed on {self.current_git or '<unknown tree>'}",
         ]
         if self.ok:
+            checked = (
+                "fast loop matches the result record"
+                if self.format == FORMAT
+                else "header selection matches"
+            )
             lines.append(
                 f"  OK: {self.events_matched}/{self.events_total} events "
-                f"identical; fast loop matches the result record"
+                f"identical; {checked}"
             )
             return "\n".join(lines)
         d = self.divergence
         if d is not None:
             lines.append(
-                f"  DRIFT at event {d.index} ({d.kind}, {d.reason}) after "
-                f"{self.events_matched} identical events:"
+                f"  DRIFT in the header ({d.kind}) before event 0:"
+                if d.index < 0
+                else f"  DRIFT at event {d.index} ({d.kind}, {d.reason}) "
+                f"after {self.events_matched} identical events:"
             )
             lines.append(
                 f"    expected: "
@@ -332,15 +418,24 @@ def _context_lines(
 
 
 def replay(path: str) -> DriftReport:
-    """Re-execute a golden file against the current tree; diff online.
+    """Re-execute a golden file of either kind against the current tree.
 
-    Malformed files (truncated, corrupted, wrong format version,
-    unknown scenario payload) raise
-    :class:`~repro.errors.ConfigurationError`; a well-formed golden
-    whose replay drifts returns a non-:attr:`~DriftReport.ok` report —
-    drift is a *finding*, not an error.
+    The header's ``format`` tag picks the kind.  Malformed files
+    (truncated, corrupted, unknown format tag, unknown scenario
+    payload) raise :class:`~repro.errors.ConfigurationError`; a
+    well-formed golden whose replay drifts returns a
+    non-:attr:`~DriftReport.ok` report — drift is a *finding*, not an
+    error.
     """
     header, events = read_golden(path)
+    return _REPLAYERS[header.format](path, header, events)
+
+
+def _replay_run(
+    path: str, header: TraceHeader, events: List[TraceEvent]
+) -> DriftReport:
+    """Replay an executor trace through the traced reference loop,
+    comparing online, then check the fused fast loop's outcome."""
     scen = GoldenScenario.from_payload(header.scenario)
 
     expected_result: Optional[TraceEvent] = None
@@ -356,7 +451,6 @@ def replay(path: str) -> DriftReport:
 
     recorder = DivergenceRecorder(callback_events)
     trace = Trace()
-    divergence: Optional[Divergence] = None
     result: Optional[RunResult] = None
     try:
         # The Trace runs *before* the comparer in the tee, so the
@@ -370,26 +464,19 @@ def replay(path: str) -> DriftReport:
             recorder=TeeRecorder(trace, recorder),
         )
     except DivergenceHalt:
-        divergence = recorder.divergence
+        pass
 
-    if divergence is None:
-        if recorder.matched < len(callback_events):
+    divergence = recorder.outcome()
+    if divergence is None and expected_result is not None:
+        assert result is not None
+        actual_result = TraceEvent("result", run_result_payload(result))
+        if not expected_result.same_values(actual_result):
             divergence = Divergence(
-                index=recorder.matched,
-                reason="missing-event",
-                expected=callback_events[recorder.matched],
-                actual=None,
+                index=len(callback_events),
+                reason="result",
+                expected=expected_result,
+                actual=actual_result,
             )
-        elif expected_result is not None:
-            assert result is not None
-            actual_result = TraceEvent("result", run_result_payload(result))
-            if not expected_result.same_values(actual_result):
-                divergence = Divergence(
-                    index=len(callback_events),
-                    reason="result",
-                    expected=expected_result,
-                    actual=actual_result,
-                )
 
     fast_diffs: Optional[List[Tuple[str, object, object]]] = None
     if divergence is None and expected_result is not None:
@@ -411,6 +498,7 @@ def replay(path: str) -> DriftReport:
     return DriftReport(
         scenario_name=scen.name,
         path=path,
+        format=header.format,
         events_total=len(events),
         events_matched=recorder.matched
         + (1 if divergence is None and expected_result is not None else 0),
@@ -427,16 +515,60 @@ def replay(path: str) -> DriftReport:
     )
 
 
+def _replay_taskset(
+    path: str, header: TraceHeader, events: List[TraceEvent]
+) -> DriftReport:
+    """Replay a taskset trace: re-run the scenario, compare the header's
+    ``selection`` (generator or selection-rule drift), then the events.
+
+    The schedule has no recorder hook, so the comparison runs after
+    the re-run finishes and the report carries no timeline excerpt.
+    """
+    job, rep = taskset.job_from_scenario(header.scenario)
+    selection, actual = taskset.simulate(job, rep)
+    recorded = TraceEvent("selection", dict(header.selection or {}))
+    current = TraceEvent("selection", selection)
+    recorder = DivergenceRecorder(events)
+    if recorded.same_values(current):
+        try:
+            for event in actual:
+                recorder.observe(event)
+        except DivergenceHalt:
+            pass
+        divergence = recorder.outcome()
+    else:
+        divergence = Divergence(
+            index=-1, reason="header", expected=recorded, actual=current
+        )
+    return DriftReport(
+        scenario_name=str(header.scenario.get("name")),
+        path=path,
+        format=header.format,
+        events_total=len(events),
+        events_matched=recorder.matched,
+        divergence=divergence,
+        fast_diffs=None,
+        recorded_git=header.git,
+        current_git=git_describe(),
+        context=(
+            _context_lines(events, divergence.index)
+            if divergence is not None and divergence.index >= 0
+            else ()
+        ),
+    )
+
+
+#: The replay engine of each format tag.
+_REPLAYERS = {FORMAT: _replay_run, TASKSET_FORMAT: _replay_taskset}
+
+
 def resolve_golden_paths(paths: Iterable[str]) -> List[str]:
-    """Expand directories to their sorted ``*.jsonl`` golden files."""
+    """Expand directories to every ``*.jsonl`` golden beneath them
+    (recursively), sorted."""
     resolved: List[str] = []
     for path in paths:
         if os.path.isdir(path):
-            found = sorted(
-                os.path.join(path, name)
-                for name in os.listdir(path)
-                if name.endswith(".jsonl")
-            )
+            found = sorted(str(found) for found in Path(path).rglob("*.jsonl"))
             if not found:
                 raise ConfigurationError(
                     f"no golden traces (*.jsonl) under {path!r}"
@@ -546,34 +678,30 @@ def _diff_events(
 def update_goldens(
     directory: Optional[str] = None, names: Optional[Sequence[str]] = None
 ) -> List[GoldenUpdate]:
-    """Re-record the golden matrix in place; report what changed.
+    """Re-record the curated goldens of both kinds in place; report
+    what changed.
 
     The reviewable half of an *intentional* contract change: where
     :func:`replay` treats any divergence as drift, this regenerates
-    each committed golden (``directory`` defaults to the checkout's
-    ``tests/goldens/``) and returns a per-file, event-level
-    :class:`GoldenUpdate` — so the diff a maintainer commits is the
-    diff they reviewed.  Old events are read *before* the re-record
-    overwrites the file.
+    each committed golden — the executor matrix and the taskset trace
+    (``directory`` defaults to the checkout's ``tests/goldens/``) —
+    and returns a per-file, event-level :class:`GoldenUpdate`, so the
+    diff a maintainer commits is the diff they reviewed.  Old events
+    are read *before* the re-record overwrites the file.
     """
     target = directory if directory is not None else default_golden_dir()
-    chosen = (
-        list(GOLDEN_SCENARIOS)
-        if names is None
-        else [scenario(name) for name in names]
-    )
     updates: List[GoldenUpdate] = []
-    for scen in chosen:
-        path = os.path.join(target, f"{scen.name}.jsonl")
+    for name, relative, record in _curated(names):
+        path = os.path.join(target, relative)
         old_events: Optional[List[TraceEvent]] = None
         if os.path.exists(path):
             _old_header, old_events = read_golden(path)
-        record_golden(scen, target)
+        record(target)
         _new_header, new_events = read_golden(path)
         if old_events is None:
             updates.append(
                 GoldenUpdate(
-                    scenario_name=scen.name,
+                    scenario_name=name,
                     path=path,
                     created=True,
                     events_before=0,
@@ -586,7 +714,7 @@ def update_goldens(
         shown, total = _diff_events(old_events, new_events)
         updates.append(
             GoldenUpdate(
-                scenario_name=scen.name,
+                scenario_name=name,
                 path=path,
                 created=False,
                 events_before=len(old_events),

@@ -1,6 +1,6 @@
 """JSONL golden-trace files: header, one event per line, end sentinel.
 
-Layout of a golden file::
+Layout of an executor golden file::
 
     {"format": "repro.golden-trace/1", "scenario": {...}, "git": "..."}
     {"kind": "speed", "time": 0.0, "frequency": 2.0}
@@ -8,6 +8,12 @@ Layout of a golden file::
     ...
     {"kind": "result", "completed": true, "energy": ..., ...}
     {"kind": "end", "events": 314}
+
+The header's ``format`` tag names the trace kind.  A taskset golden
+(:mod:`repro.goldens.taskset`) uses the same layout under
+``repro.taskset-trace/1``: its header also pins the selected operating
+point (``selection``), and its body holds ``job`` events and one
+``summary``.  Both kinds go through the one reader and writer here.
 
 Floats are encoded with the shared exact codec of
 :mod:`repro.api.results` (shortest-repr doubles, ``NaN``/``Infinity``
@@ -30,28 +36,58 @@ from repro.errors import ConfigurationError
 from repro.goldens.events import EVENT_KINDS, RecordingRecorder, TraceEvent
 from repro.sim.trace import TraceRecorder
 
-__all__ = ["FORMAT", "TraceHeader", "JsonlTraceWriter", "read_golden"]
+__all__ = [
+    "FORMAT",
+    "FORMATS",
+    "TASKSET_FORMAT",
+    "TraceHeader",
+    "JsonlTraceWriter",
+    "read_golden",
+]
 
-#: Golden-trace format tag; bump on incompatible layout changes.
+#: Executor-trace format tag; bump on incompatible layout changes.
 FORMAT = "repro.golden-trace/1"
+
+#: Taskset-trace format tag (the multi-task EDF engine's golden).
+TASKSET_FORMAT = "repro.taskset-trace/1"
+
+#: Every format tag this build reads, with the event kinds its body
+#: may hold.
+FORMATS: Dict[str, Tuple[str, ...]] = {
+    FORMAT: EVENT_KINDS,
+    TASKSET_FORMAT: ("job", "summary"),
+}
 
 
 @dataclass(frozen=True)
 class TraceHeader:
     """First line of a golden file: what was run, by which tree.
 
-    ``scenario`` is the full :class:`~repro.goldens.scenarios.
-    GoldenScenario` payload (scheme, fault process, seed, task, block
-    parameters) — everything the replay engine needs to re-execute the
-    run.  ``git`` is provenance only (the describe string of the tree
-    that *recorded* the file); replay never compares it.
+    ``scenario`` is everything the replay engine needs to re-execute
+    the run: for an executor trace the full
+    :class:`~repro.goldens.scenarios.GoldenScenario` payload (scheme,
+    fault process, seed, task, block parameters), for a taskset trace
+    the generator parameters, seed and rep.  ``selection`` is the
+    taskset trace's recorded operating point (``None`` for executor
+    traces); replay compares it ahead of event 0.  ``git`` is
+    provenance only (the describe string of the tree that *recorded*
+    the file); replay never compares it.
     """
 
     scenario: Dict[str, object]
     git: Optional[str] = None
+    format: str = FORMAT
+    selection: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        return {"format": FORMAT, "scenario": dict(self.scenario), "git": self.git}
+        record: Dict[str, object] = {
+            "format": self.format,
+            "scenario": dict(self.scenario),
+        }
+        if self.selection is not None:
+            record["selection"] = dict(self.selection)
+        record["git"] = self.git
+        return record
 
     @classmethod
     def from_dict(cls, payload: object) -> "TraceHeader":
@@ -61,26 +97,37 @@ class TraceHeader:
                 f"{{'format': {FORMAT!r}, ...}} record first)"
             )
         declared = payload["format"]
-        if declared != FORMAT:
+        if declared not in FORMATS:
             raise ConfigurationError(
-                f"unsupported golden-trace format {declared!r} "
-                f"(this build reads {FORMAT!r})"
+                f"unsupported golden-trace format {declared!r} (this "
+                f"build reads {' and '.join(map(repr, FORMATS))})"
             )
         scenario = payload.get("scenario")
         if not isinstance(scenario, dict):
             raise ConfigurationError(
                 "golden trace header carries no scenario payload"
             )
-        return cls(scenario=scenario, git=payload.get("git"))
+        selection = payload.get("selection")
+        if selection is not None and not isinstance(selection, dict):
+            raise ConfigurationError(
+                "golden trace header's selection is not a JSON object"
+            )
+        return cls(
+            scenario=scenario,
+            git=payload.get("git"),
+            format=declared,
+            selection=selection,
+        )
 
 
 class JsonlTraceWriter(TraceRecorder):
-    """Streams every recorder callback to a JSONL golden file.
+    """Streams trace events to a JSONL golden file of either kind.
 
     A :class:`~repro.sim.trace.TraceRecorder`: pass it straight to
     :func:`~repro.sim.executor.simulate_run` (alone or inside a
-    :class:`~repro.sim.trace.TeeRecorder`).  Call :meth:`result` with
-    the finished run's payload, then :meth:`close` — the end sentinel
+    :class:`~repro.sim.trace.TeeRecorder`) and call :meth:`result`
+    with the finished run's payload; or append ready-made events with
+    :meth:`write`.  Then :meth:`close` — the end sentinel
     is only written on close, so an interrupted recording is
     detectably truncated rather than silently short.  Usable as a
     context manager.
@@ -97,8 +144,7 @@ class JsonlTraceWriter(TraceRecorder):
 
     def _flush_events(self) -> None:
         for event in self._recorder.events:
-            self._write_line(event.to_dict())
-            self._count += 1
+            self.write(event)
         self._recorder.events.clear()
 
     def _write_line(self, record: Dict[str, object]) -> None:
@@ -136,10 +182,14 @@ class JsonlTraceWriter(TraceRecorder):
 
     # -- harness-level records ----------------------------------------
 
+    def write(self, event: TraceEvent) -> None:
+        """Append one event record."""
+        self._write_line(event.to_dict())
+        self._count += 1
+
     def result(self, payload: Dict[str, object]) -> None:
         """Write the end-of-run ``result`` record (RunResult summary)."""
-        self._write_line(TraceEvent("result", dict(payload)).to_dict())
-        self._count += 1
+        self.write(TraceEvent("result", dict(payload)))
 
     def close(self) -> None:
         if self._handle is None:
@@ -162,9 +212,10 @@ class JsonlTraceWriter(TraceRecorder):
 def read_golden(path: str) -> Tuple[TraceHeader, List[TraceEvent]]:
     """Parse a golden file into its header and ordered event list.
 
-    Every malformed input — unreadable file, invalid JSON, missing or
-    wrong-format header, unknown event kind, missing end sentinel
-    (truncation), event-count mismatch — raises
+    The same checks hold for every format tag.  Every malformed input
+    — unreadable file, invalid JSON, missing or unknown-format header,
+    an event kind the header's format does not allow, missing end
+    sentinel (truncation), event-count mismatch — raises
     :class:`~repro.errors.ConfigurationError` naming the file and,
     where it applies, the line.
     """
@@ -205,10 +256,11 @@ def read_golden(path: str) -> Tuple[TraceHeader, List[TraceEvent]]:
             f"{declared!r} events but {len(body)} are present"
         )
 
+    kinds = FORMATS[header.format]
     events: List[TraceEvent] = []
     for index, record in enumerate(body):
         kind = record.get("kind")
-        if kind not in EVENT_KINDS:
+        if kind not in kinds:
             raise ConfigurationError(
                 f"golden trace {path!r} event {index}: unknown kind {kind!r}"
             )

@@ -5,7 +5,6 @@ from repro.sim import (
     backends,
     distributed,
     energy,
-    engine,
     executor,
     fastpath,
     faults,
@@ -22,7 +21,6 @@ __all__ = [
     "backends",
     "distributed",
     "energy",
-    "engine",
     "executor",
     "fastpath",
     "faults",

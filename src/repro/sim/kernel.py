@@ -22,10 +22,7 @@ path).  Selected via ``ExecutionSettings(kernel="fast")`` /
    iteration advances every live rep by one CSCP interval, classifying
    each rep's first corrupting fault arithmetically instead of walking
    windows), accumulating straight into the worker's
-   :class:`~repro.sim.montecarlo.RunSlab`.  When Numba is installed,
-   static-plan blocks additionally route through a compiled scalar
-   twin of the loop (:func:`_static_rep_outcome`); the pure-NumPy path
-   is the always-available fallback and the two are arithmetic twins.
+   :class:`~repro.sim.montecarlo.RunSlab`.
 
 Contract
 --------
@@ -92,15 +89,6 @@ __all__ = [
 
 #: The kernel modes ``ExecutionSettings.kernel`` accepts.
 KERNEL_NAMES = ("exact", "fast")
-
-#: Numba is an *optional* accelerant: absent (the supported baseline)
-#: the pure-NumPy engine below is the fast kernel.  Present, static
-#: blocks route through a compiled scalar twin; any compilation or
-#: first-call failure permanently falls back to NumPy.
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except ImportError:  # pragma: no cover - the baseline environment
-    _numba = None
 
 #: Safety bound on fault-classification rounds within one interval
 #: (each round advances at least one rep's probe cursor by one fault).
@@ -194,147 +182,6 @@ def _extend_fault_matrix(
     return np.hstack((F, extra))
 
 
-def _static_rep_outcome(
-    row,
-    n_faults,
-    rem,
-    deadline,
-    horizon,
-    max_intervals,
-    frequency,
-    coef,
-    interval_full,
-    cscp_cycles,
-    overhead_corrupting,
-    eps,
-):
-    """One static-plan rep, scalar — the compiled twin of the engine.
-
-    Static policies always plan ``m = 1``, so an interval is one
-    execution window plus the closing CSCP and a detected fault commits
-    nothing.  Arithmetic is interval-at-a-time exactly like the
-    vectorised engine (``energy += coef·(iv + c)``, ``clock +=
-    elapsed/f``), so the two paths produce identical results whether or
-    not Numba is installed.
-
-    Returns ``(status, clock, energy, detected, checkpoints)`` where
-    status is 1 = completed, 0 = failed, -1 = fault matrix exhausted
-    (caller refills and re-runs the rep), -2 = interval budget blown.
-    """
-    clock = 0.0
-    energy = 0.0
-    detected = 0
-    checkpoints = 0
-    intervals = 0
-    i = 0
-    while rem > eps:
-        intervals += 1
-        if intervals > max_intervals:
-            return -2, clock, energy, detected, checkpoints
-        if rem / frequency > deadline - clock:
-            return 0, clock, energy, detected, checkpoints
-        if clock > horizon:
-            return 0, clock, energy, detected, checkpoints
-        iv = rem if rem < interval_full else interval_full
-        full = iv + cscp_cycles
-        end = clock + full / frequency
-        corrupt = False
-        while i < n_faults:
-            t = row[i]
-            if t > end:
-                break
-            i += 1
-            u = (t - clock) * frequency
-            if u <= iv or overhead_corrupting:
-                corrupt = True
-                while i < n_faults and row[i] <= end:
-                    i += 1
-                break
-        if not corrupt and i >= n_faults and math.inf > end:
-            # The pre-drawn row ran out before this rep finished and
-            # later arrivals could still land inside a window: signal
-            # the caller to refill and re-run (deterministic — the
-            # trajectory prefix is unchanged by a wider matrix).
-            if n_faults == 0 or row[n_faults - 1] <= end:
-                return -1, clock, energy, detected, checkpoints
-        clock = end
-        energy += coef * full
-        checkpoints += 1
-        if corrupt:
-            detected += 1
-        else:
-            rem -= iv
-    return 1, clock, energy, detected, checkpoints
-
-
-_static_rep_compiled = None
-if _numba is not None:  # pragma: no cover - numba-present environments
-    try:
-        _static_rep_compiled = _numba.njit(cache=True)(_static_rep_outcome)
-    except Exception:
-        _static_rep_compiled = None
-
-
-def _disable_compiled() -> None:
-    """Permanently drop to the NumPy engine for this process."""
-    global _static_rep_compiled
-    _static_rep_compiled = None
-
-
-def _run_static_compiled(
-    F,
-    refillable,
-    faults,
-    rng,
-    count,
-    task,
-    frequency,
-    coef,
-    interval_full,
-    limits,
-    overhead_corrupting,
-    slab,
-):  # pragma: no cover - requires numba
-    """Drive the compiled scalar loop over every rep of the block."""
-    deadline = task.deadline
-    horizon = limits.horizon(task)
-    cscp = task.costs.checkpoint_cycles
-    run = _static_rep_compiled
-    for rep in range(count):
-        while True:
-            status, clock, energy, det, cp = run(
-                F[rep],
-                F.shape[1],
-                task.cycles,
-                deadline,
-                horizon,
-                limits.max_intervals,
-                frequency,
-                coef,
-                interval_full,
-                cscp,
-                overhead_corrupting,
-                _CYCLE_EPS,
-            )
-            if status == -1 and refillable:
-                F = _extend_fault_matrix(F, faults, rng)
-                continue
-            break
-        if status == -2:
-            raise SimulationError(
-                f"run exceeded {limits.max_intervals} CSCP intervals; "
-                "policy/executor inconsistency"
-            )
-        completed = status == 1
-        slab.timely[rep] = completed and clock <= deadline + _CYCLE_EPS
-        slab.energy[rep] = energy
-        slab.finish[rep] = clock
-        slab.detected[rep] = det
-        slab.checkpoints[rep] = cp
-        slab.sub_checkpoints[rep] = 0
-    return slab.fold(count)
-
-
 def accumulate_range_fast(
     task: TaskSpec,
     policy_factory: PolicyFactory,
@@ -415,23 +262,6 @@ def accumulate_range_fast(
     F, refillable = _fault_matrix(
         faults, rng, count, _initial_columns(faults, task.deadline)
     )
-
-    if (
-        _static_rep_compiled is not None
-        and table is None
-        and isinstance(policy, _StaticPolicy)
-    ):  # pragma: no cover - requires numba
-        try:
-            return _run_static_compiled(
-                F, refillable, faults, rng, count, task, f0, coef0,
-                ivf0, limits, faults_during_overhead, slab,
-            )
-        except SimulationError:
-            raise
-        except Exception:
-            # A broken compiled path must never take the kernel down:
-            # disable it for the process and fall through to NumPy.
-            _disable_compiled()
 
     return _run_block(
         F, refillable, faults, rng, count, task, policy, table,

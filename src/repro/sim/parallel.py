@@ -46,7 +46,6 @@ grid with one slow adaptive column still keeps every worker busy.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
@@ -254,11 +253,6 @@ def runner_scope(
     runner: Optional[BatchRunner] = None,
     *,
     backend: Union[ExecutionBackend, str, None] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    cluster_workers: Optional[int] = None,
-    url: Optional[str] = None,
-    adaptive_batching: Optional[bool] = None,
 ) -> Iterator[BatchRunner]:
     """The runner an API call should use, with ownership sorted out.
 
@@ -271,51 +265,24 @@ def runner_scope(
     * no runner, no backend — the implicit serial runner (stateless,
       nothing to release);
     * a ``backend`` *name* builds a runner for the call and closes it
-      afterwards (``backend="process"`` with ``workers`` unspecified
-      means one worker per CPU); a backend *instance* builds a runner
-      but leaves closing the backend to whoever constructed it.
+      afterwards (``backend="process"`` means one worker per CPU); a
+      backend *instance* builds a runner but leaves closing the backend
+      to whoever constructed it.
 
-    .. deprecated::
-        The scattered per-call execution kwargs (``workers``,
-        ``chunk_size``, ``cluster_workers``, ``url``,
-        ``adaptive_batching``) are deprecated: build one validated
-        :class:`~repro.experiments.config.ExecutionSettings` and hold
-        it in a :class:`~repro.api.Session` (or pass its
-        ``make_runner()`` result as ``runner=``) instead.  ``runner=``
-        and ``backend=`` stay.
+    Execution knobs (workers, block size, cluster) live in one
+    validated :class:`~repro.experiments.config.ExecutionSettings`,
+    held by a :class:`~repro.api.Session` or passed here as its
+    ``make_runner()`` result.
     """
-    scattered = {
-        "workers": workers,
-        "chunk_size": chunk_size,
-        "cluster_workers": cluster_workers,
-        "url": url,
-        "adaptive_batching": adaptive_batching,
-    }
-    used = [name for name, value in scattered.items() if value is not None]
-    if used:
-        warnings.warn(
-            f"passing {', '.join(used)} to runner_scope() is deprecated; "
-            f"build an ExecutionSettings (experiments.config) and run "
-            f"through a repro.api.Session, or pass runner=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
     if runner is not None:
         if backend is not None:
             raise ParameterError("pass either runner= or backend=, not both")
         yield runner
         return
     if backend is None:
-        yield BatchRunner.serial(chunk_size=chunk_size)
+        yield BatchRunner.serial()
         return
-    scoped = BatchRunner(
-        workers=workers,
-        chunk_size=chunk_size,
-        backend=backend,
-        cluster_workers=cluster_workers,
-        url=url,
-        adaptive_batching=adaptive_batching,
-    )
+    scoped = BatchRunner(backend=backend)
     try:
         yield scoped
     finally:

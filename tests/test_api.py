@@ -28,7 +28,6 @@ class TestPublicSurface:
             "repro.core.schemes",
             "repro.sim",
             "repro.sim.energy",
-            "repro.sim.engine",
             "repro.sim.executor",
             "repro.sim.fastpath",
             "repro.sim.faults",

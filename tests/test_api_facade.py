@@ -332,20 +332,8 @@ class TestStudySpecValidation:
 
 
 class TestDeprecatedScatteredKwargs:
-    """The scattered per-call execution kwargs warn and keep working."""
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"workers": 1},
-            {"chunk_size": 64},
-            {"workers": 1, "chunk_size": 32},
-        ],
-    )
-    def test_runner_scope_kwargs_warn(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="ExecutionSettings"):
-            with runner_scope(None, **kwargs) as scoped:
-                assert scoped.run_cells([]) == []
+    """The scattered per-call execution kwargs are gone; the runner and
+    backend paths stay silent."""
 
     def test_runner_and_backend_paths_stay_silent(self):
         with warnings.catch_warnings():

@@ -36,7 +36,6 @@ from repro.core.schemes import (
 from repro.errors import ParameterError
 from repro.experiments.config import table_spec
 from repro.goldens.scenarios import GOLDEN_SCENARIOS
-from repro.sim import kernel as kernel_mod
 from repro.sim.backends import ProcessBackend, SerialBackend
 from repro.sim.faults import BurstyFaults, PoissonFaults, ScriptedFaults
 from repro.sim.kernel import (
@@ -403,68 +402,6 @@ def test_replan_table_concurrent_lookups_are_fill_order_independent():
     assert not errors
     for rows in results:
         assert rows == expected
-
-
-# ---------------------------------------------------------------------------
-# the compiled static loop's pure-Python twin
-
-
-def test_static_twin_drives_engine_identically(monkeypatch):
-    """_run_static_compiled(pure twin) == the vectorised NumPy engine.
-
-    Numba is optional; wiring the *uncompiled* twin through the
-    compiled dispatch path proves both that the scalar arithmetic is
-    engine-identical and that the dispatch/refill plumbing works
-    without numba installed.
-    """
-    task = _fallback_task()
-    factory = lambda: PoissonArrivalPolicy(1.0)  # noqa: E731
-
-    monkeypatch.setattr(kernel_mod, "_static_rep_compiled", None)
-    numpy_engine = accumulate_range_fast(
-        task, factory, start=0, stop=128, seed=21
-    ).finalize()
-
-    monkeypatch.setattr(
-        kernel_mod, "_static_rep_compiled", kernel_mod._static_rep_outcome
-    )
-    twin = accumulate_range_fast(
-        task, factory, start=0, stop=128, seed=21
-    ).finalize()
-    # Integer-derived statistics must agree exactly; the vectorised
-    # engine's bulk-skip collapses clean intervals in closed form, so
-    # clock/energy sums may differ from the interval-at-a-time twin in
-    # the last ulp.
-    assert twin.p_timely.trials == numpy_engine.p_timely.trials
-    assert twin.p == numpy_engine.p
-    assert twin.mean_detected_faults == numpy_engine.mean_detected_faults
-    assert twin.mean_checkpoints == numpy_engine.mean_checkpoints
-    assert twin.mean_sub_checkpoints == numpy_engine.mean_sub_checkpoints
-    assert _close(twin.energy_all.value, numpy_engine.energy_all.value)
-    assert _close(twin.e, numpy_engine.e)
-    assert _close(
-        twin.mean_finish_time_timely, numpy_engine.mean_finish_time_timely
-    )
-
-
-def test_broken_compiled_path_degrades_to_numpy(monkeypatch):
-    task = _fallback_task()
-    factory = lambda: PoissonArrivalPolicy(1.0)  # noqa: E731
-    monkeypatch.setattr(kernel_mod, "_static_rep_compiled", None)
-    want = accumulate_range_fast(
-        task, factory, start=0, stop=64, seed=2
-    ).finalize()
-
-    def explode(*_args, **_kwargs):
-        raise RuntimeError("compiled kernel corrupted")
-
-    monkeypatch.setattr(kernel_mod, "_static_rep_compiled", explode)
-    got = accumulate_range_fast(
-        task, factory, start=0, stop=64, seed=2
-    ).finalize()
-    assert got.same_values(want)
-    # The failure permanently disabled the compiled path.
-    assert kernel_mod._static_rep_compiled is None
 
 
 # ---------------------------------------------------------------------------

@@ -16,28 +16,36 @@ drift detection"):
 
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.results import json_dumps_exact, json_loads_exact
 from repro.cli import main
 from repro.core.checkpoints import CheckpointKind
 from repro.errors import ConfigurationError
 from repro.goldens import (
+    FORMAT,
     GOLDEN_SCENARIOS,
+    TASKSET_FORMAT,
     GoldenScenario,
     JsonlTraceWriter,
     RecordingRecorder,
     TraceEvent,
     TraceHeader,
+    default_golden_dir,
     read_golden,
     record_golden,
     record_matrix,
     replay,
     replay_paths,
+    resolve_golden_paths,
     scenario,
     scenario_names,
+    update_goldens,
 )
 from repro.goldens.events import payload_diff, same_scalar
 from repro.sim.energy import EnergyModel
@@ -48,6 +56,9 @@ import repro.sim.executor as executor_mod
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+_TASKSET_GOLDEN = Path(default_golden_dir()) / "taskset" / "bursty-edf.jsonl"
 
 
 def _record_one(tmp_path, name="adaptive-scp-poisson"):
@@ -510,6 +521,16 @@ class TestMalformedGoldens:
         with pytest.raises(ConfigurationError, match="result record"):
             replay(path)
 
+    def test_non_object_selection(self, tmp_path):
+        lines = _lines(_TASKSET_GOLDEN)
+        header = json_loads_exact(lines[0])
+        header["selection"] = [1.0, True]
+        lines[0] = json_dumps_exact(header)
+        path = tmp_path / "bad-selection.jsonl"
+        _rewrite(path, lines)
+        with pytest.raises(ConfigurationError, match="selection"):
+            replay(str(path))
+
     def test_malformed_scenario_payload(self, tmp_path):
         path = _record_one(tmp_path)
         lines = _lines(path)
@@ -582,3 +603,195 @@ class TestCli:
         assert main(["record-golden", "--list"]) == 0
         out = capsys.readouterr().out.split()
         assert list(scenario_names()) == out
+
+
+# ---------------------------------------------------------------------------
+# one engine for every committed trace kind
+
+
+class TestEveryTraceKind:
+    def test_replay_covers_every_committed_trace(self, capsys):
+        committed = sorted(Path(default_golden_dir()).rglob("*.jsonl"))
+        assert _TASKSET_GOLDEN in committed
+        assert main(["replay", default_golden_dir()]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"all {len(committed)} golden trace(s) replay identically" in out
+        )
+        assert "ok: taskset-bursty-edf (22/22 events)" in out
+
+    def test_replay_explicit_taskset_path(self, capsys):
+        assert main(["replay", str(_TASKSET_GOLDEN)]) == 0
+        out = capsys.readouterr().out
+        assert "all 1 golden trace(s) replay identically" in out
+
+    def test_tampered_taskset_trace_exit_1(self, tmp_path, capsys):
+        lines = _lines(_TASKSET_GOLDEN)
+        event = json_loads_exact(lines[3])  # events start at line 2
+        event["faults"] = event["faults"] + 1
+        lines[3] = json_dumps_exact(event)
+        tampered = tmp_path / "tampered.jsonl"
+        _rewrite(tampered, lines)
+        assert main(["replay", str(tampered)]) == 1
+        out = capsys.readouterr().out
+        assert "DRIFT at event 2 (job, mismatch)" in out
+        assert "field faults: expected" in out
+
+    def test_unknown_format_tag_exit_2(self, tmp_path, capsys):
+        path = _record_one(tmp_path)
+        lines = _lines(path)
+        header = json.loads(lines[0])
+        header["format"] = "repro.mystery-trace/1"
+        lines[0] = json.dumps(header)
+        _rewrite(path, lines)
+        assert main(["replay", path]) == 2
+        err = capsys.readouterr().err
+        assert "repro.mystery-trace/1" in err
+        assert FORMAT in err and TASKSET_FORMAT in err
+
+    @pytest.mark.parametrize(
+        "relative",
+        sorted(
+            path.relative_to(default_golden_dir()).as_posix()
+            for path in Path(default_golden_dir()).rglob("*.jsonl")
+        ),
+    )
+    def test_committed_trace_rewrites_byte_identically(self, tmp_path, relative):
+        # One reader and one writer for both tags: reading a committed
+        # golden and writing it back reproduces the file byte for byte.
+        committed = Path(default_golden_dir()) / relative
+        header, events = read_golden(str(committed))
+        copy = tmp_path / "copy.jsonl"
+        with JsonlTraceWriter(str(copy), header) as writer:
+            for event in events:
+                writer.write(event)
+        assert copy.read_bytes() == committed.read_bytes()
+
+    def test_update_goldens_same_for_every_committed_trace(
+        self, tmp_path, capsys
+    ):
+        committed = Path(default_golden_dir())
+        copy = tmp_path / "goldens"
+        shutil.copytree(committed, copy)
+        assert main(["replay", "--update-goldens", str(copy)]) == 0
+        out = capsys.readouterr().out
+        total = len(list(committed.rglob("*.jsonl")))
+        same = [line for line in out.splitlines() if line.startswith("same ")]
+        assert len(same) == total
+        assert f"all {total} golden(s) re-recorded bit-identically" in out
+        assert "same    taskset-bursty-edf: 22 events" in out
+        for path in committed.rglob("*.jsonl"):
+            before = _lines(path)
+            after = _lines(copy / path.relative_to(committed))
+            assert after[1:] == before[1:]  # events + sentinel
+
+    def test_update_goldens_rerecords_tampered_taskset(self, tmp_path):
+        directory = tmp_path / "goldens"
+        target = directory / "taskset" / "bursty-edf.jsonl"
+        target.parent.mkdir(parents=True)
+        lines = _lines(_TASKSET_GOLDEN)
+        event = json_loads_exact(lines[3])
+        event["faults"] = event["faults"] + 1
+        lines[3] = json_dumps_exact(event)
+        _rewrite(target, lines)
+
+        (update,) = update_goldens(str(directory), names=["taskset-bursty-edf"])
+        assert not update.identical
+        assert update.changed_total == 1
+        assert update.changed == (
+            (2, "job", (("faults", event["faults"], event["faults"] - 1),)),
+        )
+        assert "CHANGED taskset-bursty-edf" in update.render()
+        assert _lines(target)[1:] == _lines(_TASKSET_GOLDEN)[1:]
+        assert replay(str(target)).ok
+
+    def test_resolve_walks_nested_directories(self, tmp_path):
+        nested = tmp_path / "a" / "b" / "c"
+        nested.mkdir(parents=True)
+        for path in (
+            tmp_path / "z.jsonl",
+            tmp_path / "a" / "y.jsonl",
+            nested / "x.jsonl",
+            tmp_path / "a" / "notes.txt",
+        ):
+            path.write_text("")
+        explicit = str(tmp_path / "elsewhere.jsonl")
+        assert resolve_golden_paths([str(tmp_path), explicit]) == [
+            str(nested / "x.jsonl"),
+            str(tmp_path / "a" / "y.jsonl"),
+            str(tmp_path / "z.jsonl"),
+            explicit,
+        ]
+
+    def test_replay_dispatches_on_format_tag(self):
+        reports = replay_paths([default_golden_dir()])
+        formats = {Path(r.path).name: r.format for r in reports}
+        assert formats.pop("bursty-edf.jsonl") == TASKSET_FORMAT
+        assert set(formats.values()) == {FORMAT}
+        assert all(report.ok for report in reports)
+
+
+# ---------------------------------------------------------------------------
+# the shared checks hold for the taskset tag too
+
+
+class TestMalformedTasksetGolden:
+    def _tampered(self, tmp_path, lines):
+        path = tmp_path / "tampered.jsonl"
+        _rewrite(path, lines)
+        return str(path)
+
+    def test_truncated_file(self, tmp_path):
+        path = self._tampered(tmp_path, _lines(_TASKSET_GOLDEN)[:-1])
+        with pytest.raises(ConfigurationError, match="truncated"):
+            read_golden(path)
+
+    def test_event_count_mismatch(self, tmp_path):
+        lines = _lines(_TASKSET_GOLDEN)
+        del lines[5]
+        path = self._tampered(tmp_path, lines)
+        with pytest.raises(ConfigurationError, match="declares 22 events but 21"):
+            replay(path)
+
+    def test_invalid_json_line(self, tmp_path):
+        lines = _lines(_TASKSET_GOLDEN)
+        lines[3] = '{"kind": "job", not json'
+        path = self._tampered(tmp_path, lines)
+        with pytest.raises(ConfigurationError, match="line 4"):
+            replay(path)
+
+    def test_executor_event_kind_rejected(self, tmp_path):
+        lines = _lines(_TASKSET_GOLDEN)
+        lines[3] = json.dumps({"kind": "speed", "time": 0.0, "frequency": 1.0})
+        path = self._tampered(tmp_path, lines)
+        with pytest.raises(ConfigurationError, match="event 2: unknown kind 'speed'"):
+            replay(path)
+
+    def test_taskset_event_kind_rejected_in_executor_trace(self, tmp_path):
+        path = _record_one(tmp_path)
+        lines = _lines(path)
+        lines[3] = _lines(_TASKSET_GOLDEN)[1]
+        _rewrite(path, lines)
+        with pytest.raises(ConfigurationError, match="event 2: unknown kind 'job'"):
+            replay(path)
+
+    def test_malformed_scenario_payload(self, tmp_path):
+        lines = _lines(_TASKSET_GOLDEN)
+        header = json_loads_exact(lines[0])
+        del header["scenario"]["params"]
+        lines[0] = json_dumps_exact(header)
+        path = self._tampered(tmp_path, lines)
+        with pytest.raises(ConfigurationError, match="malformed golden scenario"):
+            replay(path)
+
+    def test_missing_selection_is_header_drift(self, tmp_path):
+        lines = _lines(_TASKSET_GOLDEN)
+        header = json_loads_exact(lines[0])
+        recorded = header.pop("selection")
+        lines[0] = json_dumps_exact(header)
+        report = replay(self._tampered(tmp_path, lines))
+        drift = report.divergence
+        assert drift is not None
+        assert (drift.index, drift.kind, drift.reason) == (-1, "selection", "header")
+        assert sorted(name for name, _, _ in drift.field_diffs()) == sorted(recorded)
+        assert report.events_matched == 0

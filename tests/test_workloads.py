@@ -42,11 +42,7 @@ from repro.workloads import (
     render_frontier,
     select_configuration,
 )
-from repro.workloads.goldens import (
-    GOLDEN_JOB,
-    record_taskset_golden,
-    replay_taskset_golden,
-)
+from repro.goldens import record_taskset_golden, replay
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent / "goldens" / "taskset" / "bursty-edf.jsonl"
@@ -527,11 +523,13 @@ class TestCachePrune:
 class TestTasksetGolden:
     def test_committed_golden_replays_clean(self):
         assert GOLDEN_PATH.exists()
-        assert replay_taskset_golden(str(GOLDEN_PATH)) is None
+        report = replay(str(GOLDEN_PATH))
+        assert report.ok, report.render()
+        assert report.events_matched == report.events_total == 22
 
     def test_rerecording_is_byte_identical_modulo_git(self, tmp_path):
         fresh = tmp_path / "fresh.jsonl"
-        record_taskset_golden(str(fresh), GOLDEN_JOB)
+        record_taskset_golden(str(fresh))
         committed = GOLDEN_PATH.read_text().splitlines()
         recorded = fresh.read_text().splitlines()
         assert committed[1:] == recorded[1:]  # events + sentinel
@@ -546,19 +544,35 @@ class TestTasksetGolden:
         lines[3] = json_dumps_exact(event)
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text("\n".join(lines) + "\n")
-        drift = replay_taskset_golden(str(tampered))
+        report = replay(str(tampered))
+        drift = report.divergence
         assert drift is not None
         assert drift.index == 2
         assert drift.kind == "job"
-        assert [name for name, _, _ in drift.fields] == ["faults"]
-        assert "first diverging event" in drift.render()
+        assert drift.reason == "mismatch"
+        assert [name for name, _, _ in drift.field_diffs()] == ["faults"]
+        assert "DRIFT at event 2 (job, mismatch)" in report.render()
+
+    def test_tampered_selection_is_reported_before_event_0(self, tmp_path):
+        lines = GOLDEN_PATH.read_text().splitlines()
+        header = json_loads_exact(lines[0])
+        header["selection"]["frequency"] = 2.0
+        lines[0] = json_dumps_exact(header)
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("\n".join(lines) + "\n")
+        report = replay(str(tampered))
+        drift = report.divergence
+        assert drift is not None
+        assert (drift.index, drift.kind, drift.reason) == (-1, "selection", "header")
+        assert [name for name, _, _ in drift.field_diffs()] == ["frequency"]
+        assert "DRIFT in the header (selection) before event 0" in report.render()
 
     def test_truncated_golden_rejected(self, tmp_path):
         lines = GOLDEN_PATH.read_text().splitlines()[:-1]
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError):
-            replay_taskset_golden(str(broken))
+        with pytest.raises(ConfigurationError, match="truncated"):
+            replay(str(broken))
 
 
 # ---------------------------------------------------------------------------
