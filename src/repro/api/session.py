@@ -51,8 +51,7 @@ class Session:
         instead of building one.  The session *borrows* it: ``close()``
         leaves it running (whoever built it owns it).  This is how the
         legacy entrypoints wrap their ``runner=`` argument.
-    backend / workers / chunk_size / cluster_workers / url /
-    adaptive_batching / kernel:
+    backend / workers / chunk_size / cluster_workers / url / kernel:
         Shorthand forwarded into a fresh ``ExecutionSettings`` —
         ``Session(backend="process", workers=8)`` reads like the CLI.
 
@@ -71,7 +70,6 @@ class Session:
         chunk_size: Optional[int] = None,
         cluster_workers: int = 0,
         url: Optional[str] = None,
-        adaptive_batching: bool = True,
         kernel: Optional[str] = None,
     ) -> None:
         shorthand = (
@@ -80,7 +78,6 @@ class Session:
             or chunk_size is not None
             or cluster_workers
             or url is not None
-            or not adaptive_batching
             or kernel is not None
         )
         if runner is not None:
@@ -104,7 +101,6 @@ class Session:
                 chunk_size=chunk_size,
                 cluster_workers=cluster_workers,
                 url=url,
-                adaptive_batching=adaptive_batching,
                 kernel=kernel or "exact",
             )
             self._runner = self.settings.make_runner() or BatchRunner.serial()

@@ -169,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_record = sub.add_parser(
         "record-golden",
-        help="record reference execution traces for the golden matrix",
+        help=(
+            "record the curated golden traces (executor matrix and "
+            "taskset trace)"
+        ),
     )
     p_record.add_argument(
         "--dir",
@@ -187,15 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "record only this curated scenario (repeatable; default: "
-            "the whole matrix)"
+            "record only this curated golden (repeatable; default: "
+            "all of them)"
         ),
     )
     p_record.add_argument(
         "--list",
         action="store_true",
         dest="list_scenarios",
-        help="list the curated scenario names and exit",
+        help="list the curated golden names and exit",
     )
 
     p_replay = sub.add_parser(
@@ -586,16 +589,6 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
             "statistics reduction (default 256).  For a fixed value, "
             "results are bit-identical across any --workers/--backend; "
             "record it with the seed when reproducibility matters."
-        ),
-    )
-    parser.add_argument(
-        "--no-adaptive-batch",
-        action="store_true",
-        help=(
-            "disable latency-adaptive dispatch batching on the parallel "
-            "backends (worker batches sized from an EWMA of observed "
-            "block latency).  Dispatch-only: results are bit-identical "
-            "with batching on or off."
         ),
     )
     parser.add_argument(
@@ -1005,13 +998,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_record_golden(args: argparse.Namespace) -> int:
     from repro.goldens import (
         default_golden_dir,
+        golden_names,
         read_golden,
         record_matrix,
-        scenario_names,
     )
 
     if args.list_scenarios:
-        for name in scenario_names():
+        for name in golden_names():
             print(name)
         return 0
     directory = args.dir if args.dir is not None else default_golden_dir()

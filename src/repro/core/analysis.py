@@ -183,7 +183,7 @@ def expected_time_with_subdivision(
 
     ``kind`` selects the SCP (``'scp'``) or CCP (``'ccp'``) renewal
     model.  This is ``R_SCP(n) = n·R1(m)`` / ``R_CCP(n) = n·R2(m)`` from
-    the paper, used by the examples and the fig.-2 ablation bench.
+    the paper, pinned by ``tests/test_analysis.py``.
     """
     from repro.core import renewal  # local import avoids cycle at module load
 

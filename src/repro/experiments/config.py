@@ -29,7 +29,7 @@ from repro.core.schemes import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments import paper_data
-from repro.sim.backends import CellJob
+from repro.sim.backends import CellJob, DistributedBackend
 from repro.sim.fastpath import (
     STATIC_SCHEMES,
     StaticCellJob,
@@ -57,7 +57,9 @@ class ExecutionSettings:
     ``validate`` / ``sweep`` commands, scripts building their own
     runners) funnels them through this dataclass instead of re-deriving
     "``--workers`` implies a process pool" by hand.  Validation happens
-    at construction; :meth:`make_runner` then builds the matching
+    at construction — this is the only place that decides which option
+    suits which backend — and :meth:`make_runner` is the only code that
+    turns the options into a backend: it builds the matching
     :class:`~repro.sim.parallel.BatchRunner` (or ``None`` for the
     implicit serial default, which callers treat identically).
 
@@ -114,10 +116,6 @@ class ExecutionSettings:
     chunk_size: Optional[int] = None
     cluster_workers: int = 0
     url: Optional[str] = None
-    #: Latency-adaptive worker-batch sizing on the parallel backends
-    #: (dispatch-only; results are bit-identical either way).  Ignored
-    #: for serial execution, where there is no dispatch to batch.
-    adaptive_batching: bool = True
     kernel: str = "exact"
     tls_cert: Optional[str] = None
     tls_key: Optional[str] = None
@@ -217,7 +215,6 @@ class ExecutionSettings:
             chunk_size=getattr(args, "chunk_size", None),
             cluster_workers=getattr(args, "cluster_workers", 0),
             url=getattr(args, "url", None),
-            adaptive_batching=not getattr(args, "no_adaptive_batch", False),
             kernel=getattr(args, "kernel", None) or "exact",
             tls_cert=getattr(args, "tls_cert", None),
             tls_key=getattr(args, "tls_key", None),
@@ -247,24 +244,13 @@ class ExecutionSettings:
         if resolved == "process":
             # An explicitly requested process pool honours workers
             # verbatim (unset/0 → one per CPU, 1 → a 1-process pool);
-            # the inferred path keeps the historical mapping where
-            # workers > 1 sized the pool and 0 meant one per CPU.
-            pool = None if self.workers in (None, 0) else self.workers
-            # Only forward a non-default adaptive_batching: the backends
-            # default to adaptive on, and None keeps BatchRunner's
-            # serial-rejection logic out of play.
-            adaptive = None if self.adaptive_batching else False
-            if self.backend == "process":
-                return BatchRunner(
-                    backend="process",
-                    workers=pool,
-                    chunk_size=self.chunk_size,
-                    adaptive_batching=adaptive,
-                )
+            # the inferred path (backend None) keeps the historical
+            # mapping where workers > 1 sized the pool and 0 meant one
+            # per CPU — serial on a 1-CPU host.
             return BatchRunner(
-                workers=pool,
+                None if self.workers in (None, 0) else self.workers,
                 chunk_size=self.chunk_size,
-                adaptive_batching=adaptive,
+                backend=self.backend,
             )
         tls = None
         if self.tls_cert or self.tls_ca:
@@ -274,14 +260,14 @@ class ExecutionSettings:
                 cert=self.tls_cert, key=self.tls_key, ca=self.tls_ca
             )
         return BatchRunner(
-            backend="distributed",
             chunk_size=self.chunk_size,
-            cluster_workers=self.cluster_workers or None,
-            url=self.url,
-            adaptive_batching=None if self.adaptive_batching else False,
-            tls=tls,
-            connect_timeout=self.connect_timeout,
-            straggler_factor=self.straggler_factor,
+            backend=DistributedBackend(
+                url=self.url,
+                cluster=self.cluster_workers or None,
+                tls=tls,
+                connect_timeout=self.connect_timeout,
+                straggler_factor=self.straggler_factor,
+            ),
         )
 
 

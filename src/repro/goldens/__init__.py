@@ -24,6 +24,7 @@ from repro.goldens.replay import (
     DriftReport,
     GoldenUpdate,
     default_golden_dir,
+    golden_names,
     record_golden,
     record_matrix,
     record_taskset_golden,
@@ -61,6 +62,7 @@ __all__ = [
     "TraceEvent",
     "TraceHeader",
     "default_golden_dir",
+    "golden_names",
     "payload_diff",
     "read_golden",
     "record_golden",

@@ -38,7 +38,7 @@ from repro.core.checkpoints import CheckpointKind
 from repro.errors import ConfigurationError
 from repro.goldens import taskset
 from repro.goldens.events import RecordingRecorder, TraceEvent, payload_diff
-from repro.goldens.scenarios import GOLDEN_SCENARIOS, GoldenScenario, scenario
+from repro.goldens.scenarios import GOLDEN_SCENARIOS, GoldenScenario
 from repro.goldens.trace_io import (
     FORMAT,
     TASKSET_FORMAT,
@@ -55,6 +55,7 @@ __all__ = [
     "DriftReport",
     "GoldenUpdate",
     "default_golden_dir",
+    "golden_names",
     "record_golden",
     "record_matrix",
     "record_taskset_golden",
@@ -141,14 +142,14 @@ def record_golden(scen: GoldenScenario, directory: str) -> str:
 def record_matrix(
     directory: str, names: Optional[Sequence[str]] = None
 ) -> List[str]:
-    """Record the curated executor matrix (or a named subset); return
-    the paths."""
-    chosen = (
-        list(GOLDEN_SCENARIOS)
-        if names is None
-        else [scenario(name) for name in names]
-    )
-    return [record_golden(scen, directory) for scen in chosen]
+    """Record every curated golden of both kinds — the executor matrix
+    and the taskset trace — (or a named subset); return the paths."""
+    return [record(directory) for _name, _path, record in _curated(names)]
+
+
+def golden_names() -> Tuple[str, ...]:
+    """The curated golden names of both kinds, in recording order."""
+    return tuple(name for name, _path, _record in _curated())
 
 
 def record_taskset_golden(path: str) -> str:

@@ -312,44 +312,31 @@ class SerialBackend:
 class ProcessBackend:
     """Block execution over a lazily created, reused process pool.
 
-    Dispatch is **latency-adaptive** (on by default): consecutive
-    same-kind blocks are grouped so one pool round trip carries
-    ``target_seconds`` of estimated compute — fast-static blocks (cheap)
-    ride dozens to a message while executor blocks go individually, so
-    mixed grids neither convoy behind per-future overhead nor
-    load-imbalance behind huge claims.  Submission is windowed: groups
-    are sized with the *current* EWMA as earlier groups complete.
-    Grouping is transport-only — block boundaries, seeding and merge
-    order are untouched, so results are bit-identical with adaptive
-    batching on or off (``tests/test_backend_conformance.py``).
+    Dispatch is **latency-adaptive**: consecutive same-kind blocks are
+    grouped so one pool round trip carries ``target_seconds`` of
+    estimated compute — fast-static blocks (cheap) ride dozens to a
+    message while executor blocks go individually, so mixed grids
+    neither convoy behind per-future overhead nor load-imbalance behind
+    huge claims.  Submission is windowed: groups are sized with the
+    *current* EWMA as earlier groups complete.  Grouping is
+    transport-only — block boundaries, seeding and merge order are
+    untouched, so results are bit-identical whatever the EWMA state
+    (``tests/test_backend_conformance.py``).
 
-    Parameters
-    ----------
-    workers:
-        Worker processes; ``None`` means :func:`default_workers`.
-    adaptive_batching:
-        ``False`` pins every group to one block (the pre-adaptive
-        dispatch); ``None``/``True`` enables the EWMA sizing.
+    ``workers`` is the pool size (``None`` = :func:`default_workers`);
+    it is the only option — the rest of the execution options are
+    :class:`~repro.experiments.config.ExecutionSettings` fields.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        adaptive_batching: Optional[bool] = None,
-        dispatch_stats: Optional[DispatchStats] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
             workers = default_workers()
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.adaptive_batching = (
-            True if adaptive_batching is None else bool(adaptive_batching)
-        )
-        self.dispatch_stats = dispatch_stats or DispatchStats()
+        self.dispatch_stats = DispatchStats()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
 
@@ -365,11 +352,7 @@ class ProcessBackend:
     ) -> Tuple[List[int], str]:
         """Pop the next dispatch group: consecutive blocks of one kind."""
         head_kind = dispatch_kind(tasks[pending[0]])
-        size = (
-            self.dispatch_stats.batch_size(head_kind)
-            if self.adaptive_batching
-            else 1
-        )
+        size = self.dispatch_stats.batch_size(head_kind)
         group = [pending.popleft()]
         while pending and len(group) < size:
             if dispatch_kind(tasks[pending[0]]) != head_kind:
@@ -498,6 +481,13 @@ class DistributedBackend:
         count, shorthand for one) to spawn loopback worker subprocesses
         automatically — the tests/CLI path.  ``None`` means workers are
         started externally against :attr:`coordinator_url`.
+    batch_size / connect_timeout / tls / straggler_factor:
+        The :class:`~repro.sim.distributed.Coordinator`'s pre-observation
+        claim size, wait-for-workers timeout, :class:`~repro.sim.
+        distributed.TLSConfig` and straggler multiplier (``0`` disables
+        speculation); ``None`` keeps the coordinator default.
+        :meth:`~repro.experiments.config.ExecutionSettings.make_runner`
+        is what builds this backend from validated settings.
 
     The coordinator and any cluster start lazily on first
     :meth:`run_tasks`; :meth:`close` tears both down and is idempotent
@@ -512,12 +502,9 @@ class DistributedBackend:
         *,
         cluster: Optional[object] = None,
         batch_size: Optional[int] = None,
-        max_retries: Optional[int] = None,
         connect_timeout: Optional[float] = None,
-        adaptive_batching: Optional[bool] = None,
         tls: Optional[object] = None,
         straggler_factor: Optional[float] = None,
-        straggler_grace: Optional[float] = None,
     ) -> None:
         if isinstance(cluster, int):
             from repro.sim.distributed import LocalCluster
@@ -526,13 +513,11 @@ class DistributedBackend:
         self.url = url
         self.cluster = cluster
         self.batch_size = batch_size
-        self.max_retries = max_retries
         # None = coordinator default, unless the cluster carries its
         # own advisory timeout (slow CI hosts configure it there).
         if connect_timeout is None and cluster is not None:
             connect_timeout = getattr(cluster, "connect_timeout", None)
         self.connect_timeout = connect_timeout
-        self.adaptive_batching = adaptive_batching
         #: :class:`~repro.sim.distributed.TLSConfig` (or None): the
         #: coordinator serves TLS and a :class:`LocalCluster` built
         #: here spawns workers with the matching flags.
@@ -540,7 +525,6 @@ class DistributedBackend:
         #: None = coordinator default; 0 disables speculation (the
         #: same convention ``--straggler-factor 0`` uses on the CLI).
         self.straggler_factor = straggler_factor
-        self.straggler_grace = straggler_grace
         self._coordinator = None
 
     @property
@@ -571,10 +555,6 @@ class DistributedBackend:
             kwargs = {}
             if self.batch_size is not None:
                 kwargs["batch_size"] = self.batch_size
-            if self.max_retries is not None:
-                kwargs["max_retries"] = self.max_retries
-            if self.adaptive_batching is not None:
-                kwargs["adaptive_batching"] = self.adaptive_batching
             if self.connect_timeout is not None:
                 kwargs["wait_timeout"] = self.connect_timeout
             if self.tls is not None:
@@ -584,8 +564,6 @@ class DistributedBackend:
                     None if self.straggler_factor == 0
                     else self.straggler_factor
                 )
-            if self.straggler_grace is not None:
-                kwargs["straggler_grace"] = self.straggler_grace
             self._coordinator = Coordinator(
                 self.url or "tcp://127.0.0.1:0", **kwargs
             )
@@ -621,17 +599,7 @@ class DistributedBackend:
         return self._coordinator
 
 
-def make_backend(
-    backend,
-    *,
-    workers: Optional[int] = None,
-    cluster_workers: Optional[int] = None,
-    url: Optional[str] = None,
-    adaptive_batching: Optional[bool] = None,
-    tls: Optional[object] = None,
-    connect_timeout: Optional[float] = None,
-    straggler_factor: Optional[float] = None,
-):
+def make_backend(backend, *, workers: Optional[int] = None):
     """Resolve a backend selector to an :class:`ExecutionBackend`.
 
     ``backend`` may already be a backend instance (returned as-is) or
@@ -640,61 +608,28 @@ def make_backend(
     * ``"serial"`` — :class:`SerialBackend` (in-process reference).
     * ``"process"`` — :class:`ProcessBackend` over ``workers``
       processes (``None`` = one per CPU).
-    * ``"distributed"`` — :class:`DistributedBackend`; with
-      ``cluster_workers`` it spawns that many loopback worker
-      subprocesses, with ``url`` it binds the coordinator there for
-      externally started workers.
+    * ``"distributed"`` — :class:`DistributedBackend` with the
+      coordinator defaults (loopback bind, externally started workers).
 
-    ``adaptive_batching`` (``None`` = backend default, i.e. on)
-    controls latency-adaptive dispatch for the parallel backends; it is
-    a pure dispatch knob with no effect on results, and meaningless
-    (rejected) for ``"serial"``.
-
-    The remaining knobs are ``"distributed"``-only: ``tls`` (a
-    :class:`~repro.sim.distributed.TLSConfig`) wraps the coordinator
-    socket, ``connect_timeout`` bounds the wait for workers to join,
-    and ``straggler_factor`` tunes speculative re-execution (``0``
-    disables it, ``None`` keeps the coordinator default) — all
-    dispatch/transport knobs with no effect on results.
+    ``workers`` is the only option taken here.  The distributed
+    options (cluster size, URL, TLS, connect timeout, straggler factor)
+    are :class:`~repro.experiments.config.ExecutionSettings` fields,
+    whose :meth:`~repro.experiments.config.ExecutionSettings.
+    make_runner` builds the configured :class:`DistributedBackend`
+    itself.
     """
     if not isinstance(backend, str):
         if isinstance(backend, ExecutionBackend):
-            if (
-                workers is not None
-                or cluster_workers
-                or url is not None
-                or adaptive_batching is not None
-                or tls is not None
-                or connect_timeout is not None
-                or straggler_factor is not None
-            ):
+            if workers is not None:
                 raise ParameterError(
-                    "workers/cluster_workers/url/adaptive_batching/tls/"
-                    "connect_timeout/straggler_factor cannot "
-                    "reconfigure an already-constructed backend instance; "
-                    "pass them when building it, or use a backend name"
+                    "workers cannot reconfigure an already-constructed "
+                    "backend instance; pass it when building it, or use "
+                    "a backend name"
                 )
             return backend
         raise ParameterError(
             f"backend must be an ExecutionBackend or one of "
             f"{BACKEND_NAMES}, got {backend!r}"
-        )
-    # Reject topology knobs the chosen backend cannot honour rather
-    # than silently dropping them — the CLI layer raises for the same
-    # contradictions, and the API must not be looser.
-    if backend != "distributed" and (cluster_workers or url is not None):
-        raise ParameterError(
-            f"cluster_workers/url only apply to backend='distributed', "
-            f"not {backend!r}"
-        )
-    if backend != "distributed" and (
-        tls is not None
-        or connect_timeout is not None
-        or straggler_factor is not None
-    ):
-        raise ParameterError(
-            f"tls/connect_timeout/straggler_factor only apply to "
-            f"backend='distributed', not {backend!r}"
         )
     if backend in ("serial", "distributed") and workers is not None:
         raise ParameterError(
@@ -702,35 +637,21 @@ def make_backend(
             + (" (use cluster_workers)" if backend == "distributed" else "")
         )
     if backend == "serial":
-        if adaptive_batching is not None:
-            raise ParameterError(
-                "adaptive_batching does not apply to backend='serial' "
-                "(there is no dispatch to batch)"
-            )
         return SerialBackend()
     if backend == "process":
         # ``workers=0`` is ExecutionSettings' "one per CPU" spelling —
         # at this layer only ``None`` means that, so catch the off-by-
         # one-layer value explicitly instead of letting ProcessBackend
-        # reject it with a bare range error (mirrors the distributed
-        # backend's explicit zero-cluster_workers handling).
+        # reject it with a bare range error.
         if workers == 0:
             raise ConfigurationError(
                 "workers must be >= 1 for the process backend, or None "
                 "for one per CPU; got 0 (ExecutionSettings maps its "
                 "workers=0 convention to None before reaching here)"
             )
-        return ProcessBackend(workers, adaptive_batching=adaptive_batching)
+        return ProcessBackend(workers)
     if backend == "distributed":
-        cluster = cluster_workers if cluster_workers else None
-        return DistributedBackend(
-            url=url,
-            cluster=cluster,
-            adaptive_batching=adaptive_batching,
-            tls=tls,
-            connect_timeout=connect_timeout,
-            straggler_factor=straggler_factor,
-        )
+        return DistributedBackend()
     raise ParameterError(
         f"unknown backend {backend!r}; valid names: {', '.join(BACKEND_NAMES)}"
     )

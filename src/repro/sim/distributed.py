@@ -49,11 +49,13 @@ worker → coordinator          ``("hello", pid)``,
                               ``("result", epoch, index,
                               CellAccumulator, seconds)`` (the trailing
                               compute-seconds float feeds adaptive
-                              claim sizing; 4-tuples from older workers
-                              are accepted),
+                              claim sizing),
                               ``("error", epoch, index, text)``,
                               ``("pong",)``
 ===========================  =========================================
+
+A ``result`` or ``error`` frame of any other shape is a broken link:
+the coordinator drops the worker and requeues its in-flight tasks.
 
 ``epoch`` tags each :meth:`Coordinator.run_tasks` batch so a result
 that straggles in after its batch ended (e.g. the batch already failed
@@ -524,7 +526,6 @@ class Coordinator:
         heartbeat: float = DEFAULT_HEARTBEAT,
         poll_interval: float = 0.05,
         secret: Optional[bytes] = None,
-        adaptive_batching: bool = True,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
         tls: Optional[TLSConfig] = None,
         straggler_factor: Optional[float] = DEFAULT_STRAGGLER_FACTOR,
@@ -570,11 +571,10 @@ class Coordinator:
         self._ssl_context = None if tls is None else tls.server_context()
         #: Latency-adaptive claim sizing (see :class:`~repro.sim.
         #: backends.DispatchStats`): workers report per-block compute
-        #: seconds with each result, and a claim takes up to
-        #: ``target/EWMA`` consecutive same-kind tasks instead of the
-        #: fixed ``batch_size``.  Dispatch-only — results are
-        #: bit-identical either way.
-        self.adaptive_batching = bool(adaptive_batching)
+        #: seconds with each result, and once a kind has a latency
+        #: sample a claim takes up to ``target/EWMA`` consecutive
+        #: same-kind tasks instead of ``batch_size``.  Dispatch-only —
+        #: results are bit-identical whatever the claim size.
         self.dispatch_stats = DispatchStats()
         self.heartbeat = float(heartbeat)
         self.poll_interval = float(poll_interval)
@@ -810,18 +810,19 @@ class Coordinator:
                 while remaining:
                     message = _recv_msg(sock)
                     kind = message[0]
+                    if kind not in ("result", "error"):
+                        continue
+                    if len(message) != (5 if kind == "result" else 4):
+                        # A reply of the wrong shape is a broken link:
+                        # the finally clause drops it and requeues.
+                        return
                     if kind == "result":
-                        # 5-tuple since the adaptive-dispatch protocol
-                        # (trailing compute seconds); 4-tuple accepted
-                        # for older workers.
-                        _, ep, index, accumulator = message[:4]
-                        seconds = message[4] if len(message) > 4 else None
+                        _, ep, index, accumulator, seconds = message
                         self._record(link, ep, index, accumulator, seconds)
-                        remaining.discard(index)
-                    elif kind == "error":
+                    else:
                         _, ep, index, text = message
                         self._record_error(link, ep, index, text)
-                        remaining.discard(index)
+                    remaining.discard(index)
         except (ConnectionError, OSError, EOFError, socket.timeout,
                 pickle.PickleError, struct.error):
             pass  # broken link: _drop_link requeues whatever it held
@@ -846,29 +847,21 @@ class Coordinator:
                         self._queue.popleft()
                 if self._active and self._queue:
                     epoch = self._epoch
-                    adaptive = self.adaptive_batching
-                    if adaptive:
-                        # Latency-adaptive claim sizing: take
-                        # consecutive same-kind tasks worth ~the
-                        # dispatch target of estimated compute.  The
-                        # configured batch_size stays the
-                        # pre-observation claim size (an explicitly
-                        # tuned value keeps working on high-latency
-                        # links); once the kind has a latency sample
-                        # the EWMA sizing takes over.  An adaptive
-                        # claim never mixes kinds, so a cheap
-                        # fast-static run cannot hide an expensive
-                        # executor block inside a big claim.
-                        head_kind = dispatch_kind(self._tasks[self._queue[0]])
-                        if self.dispatch_stats.block_latency(head_kind) is None:
-                            size = self.batch_size
-                        else:
-                            size = self.dispatch_stats.batch_size(head_kind)
-                    else:
-                        # Disabled: exactly the pre-adaptive dispatch —
-                        # fixed batch_size, kinds mixed freely.
-                        head_kind = None
+                    # Latency-adaptive claim sizing: take consecutive
+                    # same-kind tasks worth ~the dispatch target of
+                    # estimated compute.  The configured batch_size
+                    # stays the pre-observation claim size (an
+                    # explicitly tuned value keeps working on
+                    # high-latency links); once the kind has a latency
+                    # sample the EWMA sizing takes over.  A claim never
+                    # mixes kinds, so a cheap fast-static run cannot
+                    # hide an expensive executor block inside a big
+                    # claim.
+                    head_kind = dispatch_kind(self._tasks[self._queue[0]])
+                    if self.dispatch_stats.block_latency(head_kind) is None:
                         size = self.batch_size
+                    else:
+                        size = self.dispatch_stats.batch_size(head_kind)
                     batch: List[Tuple[int, BlockTask]] = []
                     while self._queue and len(batch) < size:
                         index = self._queue[0]
@@ -878,11 +871,7 @@ class Coordinator:
                             # dispatch.
                             self._queue.popleft()
                             continue
-                        if (
-                            adaptive
-                            and batch
-                            and dispatch_kind(self._tasks[index]) != head_kind
-                        ):
+                        if batch and dispatch_kind(self._tasks[index]) != head_kind:
                             break
                         self._queue.popleft()
                         self._attempts[index] = self._attempts.get(index, 0) + 1
@@ -908,8 +897,8 @@ class Coordinator:
         """Resolve a task exactly once; stale or duplicate results drop.
 
         ``seconds`` is the worker-measured compute time of the block
-        (None for local recomputes and pre-adaptive workers); it feeds
-        the latency EWMA behind adaptive claim sizing.
+        (None for local recomputes); it feeds the latency EWMA behind
+        adaptive claim sizing.
         """
         with self._cond:
             if link is not None:
@@ -917,7 +906,7 @@ class Coordinator:
             self._dispatched.pop((epoch, index), None)
             if not self._active or epoch != self._epoch or index in self._resolved:
                 return
-            if seconds is not None and isinstance(seconds, float):
+            if isinstance(seconds, float):
                 self.dispatch_stats.observe(
                     dispatch_kind(self._tasks[index]), seconds
                 )

@@ -92,8 +92,8 @@ class BatchRunner:
         Worker processes.  ``1`` (default) executes in-process via
         :class:`~repro.sim.backends.SerialBackend`; ``None`` means
         :func:`default_workers`; anything else builds a
-        :class:`~repro.sim.backends.ProcessBackend`.  Ignored when an
-        explicit ``backend`` is given.
+        :class:`~repro.sim.backends.ProcessBackend`.  With an explicit
+        ``backend`` name it sizes the process pool (see below).
     chunk_size:
         Reps per block — the unit of both scheduling *and* accumulation
         (see the module docstring).  ``None`` means
@@ -107,33 +107,15 @@ class BatchRunner:
         ``workers`` for its pool size — unspecified/``None`` = one per
         CPU (matching every higher-level entry point), an explicit
         ``1`` = a genuine single-process pool (unlike the inference
-        path, where 1 means serial).  ``"distributed"`` takes
-        ``cluster_workers``/``url`` instead; passing knobs a named
-        backend cannot honour raises.
-    cluster_workers:
-        With ``backend="distributed"``: spawn that many loopback
-        worker subprocesses (a :class:`~repro.sim.distributed.
-        LocalCluster`).  ``0``/``None`` means workers connect
-        externally (or the batch falls back in-process).
-    url:
-        With ``backend="distributed"``: the coordinator bind address.
-    adaptive_batching:
-        Latency-adaptive dispatch for the parallel backends: worker
-        batches are sized from an EWMA of observed block latency
-        (static fast-path blocks are ~100× cheaper than executor
-        blocks, so mixed grids stop convoying behind per-message
-        overhead).  Dispatch-only — block boundaries, seeding and the
-        merge order never change, so results are bit-identical with it
-        on or off.  ``None`` = backend default (on).  Ignored for
-        in-process execution (``workers=1``), which has no dispatch;
-        the explicit ``backend="serial"`` name still rejects it.
-    tls / connect_timeout / straggler_factor:
-        ``backend="distributed"`` only (rejected elsewhere): a
-        :class:`~repro.sim.distributed.TLSConfig` wrapping the
-        coordinator socket, the wait-for-workers timeout, and the
-        straggler-speculation multiplier (``0`` disables speculation).
-        All transport/dispatch knobs — results are bit-identical
-        regardless.
+        path, where 1 means serial).  ``"distributed"`` builds a
+        default :class:`~repro.sim.backends.DistributedBackend`; a
+        configured one (cluster, URL, TLS, timeouts) is built by
+        :meth:`~repro.experiments.config.ExecutionSettings.make_runner`
+        and passed here as an instance.
+
+    Distributed options are :class:`~repro.experiments.config.
+    ExecutionSettings` fields, not runner arguments: the settings are
+    the one place that validates which option suits which backend.
     """
 
     def __init__(
@@ -142,12 +124,6 @@ class BatchRunner:
         *,
         chunk_size: Optional[int] = None,
         backend: Union[ExecutionBackend, str, None] = None,
-        cluster_workers: Optional[int] = None,
-        url: Optional[str] = None,
-        adaptive_batching: Optional[bool] = None,
-        tls: Optional[object] = None,
-        connect_timeout: Optional[float] = None,
-        straggler_factor: Optional[float] = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -156,28 +132,9 @@ class BatchRunner:
             self.backend: ExecutionBackend = make_backend(
                 backend,
                 workers=None if workers is _UNSET_WORKERS else workers,
-                cluster_workers=cluster_workers,
-                url=url,
-                adaptive_batching=adaptive_batching,
-                tls=tls,
-                connect_timeout=connect_timeout,
-                straggler_factor=straggler_factor,
             )
             self.workers = getattr(self.backend, "workers", 1)
             return
-        if cluster_workers or url:
-            raise ParameterError(
-                "cluster_workers/url only apply to backend='distributed'"
-            )
-        if (
-            tls is not None
-            or connect_timeout is not None
-            or straggler_factor is not None
-        ):
-            raise ParameterError(
-                "tls/connect_timeout/straggler_factor only apply to "
-                "backend='distributed'"
-            )
         if workers is _UNSET_WORKERS:
             workers = 1  # the historical serial default
         if workers is None:
@@ -186,12 +143,9 @@ class BatchRunner:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         if self.workers == 1:
-            # In-process execution has no dispatch; the knob is moot.
             self.backend = SerialBackend()
         else:
-            self.backend = ProcessBackend(
-                self.workers, adaptive_batching=adaptive_batching
-            )
+            self.backend = ProcessBackend(self.workers)
 
     # -- public API ----------------------------------------------------
 

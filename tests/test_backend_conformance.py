@@ -200,29 +200,16 @@ class TestLifecycle:
 class TestAdaptiveDispatch:
     """Latency-adaptive batching is dispatch-only.
 
-    Whatever the EWMA state, whether it is on or off, and whatever the
-    coordinator's claim size, the merged estimates must be bit-identical
-    to the serial reference — batching changes how many blocks ride one
-    message, never block boundaries or merge order.
+    Whatever the EWMA state and whatever the coordinator's claim size,
+    the merged estimates must be bit-identical to the serial reference —
+    batching changes how many blocks ride one message, never block
+    boundaries or merge order.
     """
-
-    def test_process_adaptive_off_matches_serial(self, reference_estimates):
-        backend = ProcessBackend(2, adaptive_batching=False)
-        try:
-            estimates = BatchRunner(backend=backend, chunk_size=CHUNK).run_cells(
-                _mixed_jobs()
-            )
-        finally:
-            backend.close()
-        assert all(
-            ours.same_values(ref)
-            for ours, ref in zip(estimates, reference_estimates)
-        )
 
     def test_process_warm_ewma_still_matches(self, reference_estimates):
         """A second grid through the same backend runs with converged
         latency statistics (bigger groups) — results cannot move."""
-        backend = ProcessBackend(2, adaptive_batching=True)
+        backend = ProcessBackend(2)
         try:
             runner = BatchRunner(backend=backend, chunk_size=CHUNK)
             first = runner.run_cells(_mixed_jobs())
@@ -234,29 +221,12 @@ class TestAdaptiveDispatch:
             assert cold.same_values(ref)
             assert warm.same_values(ref)
 
-    def test_distributed_adaptive_off_matches(self, reference_estimates):
-        backend = DistributedBackend(
-            cluster=LocalCluster(2), adaptive_batching=False
-        )
-        try:
-            estimates = BatchRunner(backend=backend, chunk_size=CHUNK).run_cells(
-                _mixed_jobs()
-            )
-        finally:
-            backend.close()
-        assert all(
-            ours.same_values(ref)
-            for ours, ref in zip(estimates, reference_estimates)
-        )
-
     @pytest.mark.parametrize("batch_size", [1, 7])
     def test_coordinator_claim_size_is_result_free(
         self, batch_size, reference_estimates
     ):
         backend = DistributedBackend(
-            cluster=LocalCluster(2),
-            batch_size=batch_size,
-            adaptive_batching=False,
+            cluster=LocalCluster(2), batch_size=batch_size
         )
         try:
             estimates = BatchRunner(backend=backend, chunk_size=CHUNK).run_cells(
@@ -276,7 +246,7 @@ class TestAdaptiveDispatch:
 
         from repro.sim.backends import DispatchStats, dispatch_kind, plan_blocks
 
-        backend = ProcessBackend(2, adaptive_batching=True)
+        backend = ProcessBackend(2)
         # Pretend static blocks are very cheap: batch size maxes out.
         backend.dispatch_stats.observe("StaticCellJob", 1e-6)
         backend.dispatch_stats.observe("CellJob", 1e-6)

@@ -486,25 +486,10 @@ class TestWorkerCommand:
         assert main(["worker", f"tcp://127.0.0.1:{port}"]) == 1
 
 
-class TestNoAdaptiveBatchFlag:
-    def test_flag_parses_and_reaches_settings(self):
-        args = build_parser().parse_args(
-            ["table", "1a", "--workers", "2", "--no-adaptive-batch"]
-        )
-        runner = _make_runner(args)
-        try:
-            assert runner.backend.adaptive_batching is False
-        finally:
-            runner.close()
-
-    def test_default_leaves_adaptive_on(self):
-        args = build_parser().parse_args(["table", "1a", "--workers", "2"])
-        runner = _make_runner(args)
-        try:
-            assert runner.backend.adaptive_batching is True
-        finally:
-            runner.close()
-
-    def test_flag_is_harmless_for_serial(self):
-        args = build_parser().parse_args(["table", "1a", "--no-adaptive-batch"])
-        assert _make_runner(args) is None
+class TestRemovedFlags:
+    def test_no_adaptive_batch_flag_is_rejected(self):
+        # Adaptive dispatch is the only dispatch, so there is no flag
+        # to turn it off: argparse rejects it with exit code 2.
+        with pytest.raises(SystemExit) as exited:
+            main(["table", "1a", "--reps", "8", "--no-adaptive-batch"])
+        assert exited.value.code == 2

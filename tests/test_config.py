@@ -156,6 +156,14 @@ class TestExecutionSettings:
         assert runner.workers == default_workers()
         runner.close()
 
+    def test_workers_zero_on_one_cpu_runs_serial(self, monkeypatch):
+        # The inferred path sizes the pool from the CPU count, and a
+        # one-CPU host gets the in-process backend, not a 1-process pool.
+        monkeypatch.setattr("repro.sim.parallel.default_workers", lambda: 1)
+        runner = self._settings(workers=0).make_runner()
+        assert runner.backend.name == "serial"
+        assert runner.workers == 1
+
     def test_chunk_size_alone_stays_serial(self):
         runner = self._settings(chunk_size=64).make_runner()
         assert runner is not None
@@ -195,42 +203,15 @@ class TestExecutionSettings:
             dict(cluster_workers=2),
             dict(url="tcp://x:1"),
             dict(backend="serial", url="tcp://x:1"),
+            dict(tls_cert="c.pem", tls_key="k.pem"),
+            dict(connect_timeout=5.0),
+            dict(backend="process", straggler_factor=2.0),
+            dict(backend="distributed", tls_cert="c.pem"),
+            dict(backend="distributed", tls_ca="ca.pem"),
+            dict(backend="distributed", connect_timeout=0),
+            dict(backend="distributed", straggler_factor=-1),
         ],
     )
     def test_contradictions_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             self._settings(**kwargs)
-
-
-class TestAdaptiveBatchingSetting:
-    def test_default_is_on(self):
-        from repro.experiments.config import ExecutionSettings
-
-        assert ExecutionSettings().adaptive_batching is True
-
-    def test_forwarded_to_process_backend(self):
-        from repro.experiments.config import ExecutionSettings
-
-        runner = ExecutionSettings(
-            backend="process", workers=2, adaptive_batching=False
-        ).make_runner()
-        try:
-            assert runner.backend.adaptive_batching is False
-        finally:
-            runner.close()
-
-    def test_process_backend_defaults_adaptive_on(self):
-        from repro.experiments.config import ExecutionSettings
-
-        runner = ExecutionSettings(backend="process", workers=2).make_runner()
-        try:
-            assert runner.backend.adaptive_batching is True
-        finally:
-            runner.close()
-
-    def test_serial_ignores_the_knob(self):
-        # Serial execution has no dispatch; the flag must not error.
-        from repro.experiments.config import ExecutionSettings
-
-        settings = ExecutionSettings(adaptive_batching=False)
-        assert settings.make_runner() is None

@@ -258,10 +258,9 @@ class TestMakeBackend:
         assert isinstance(make_backend("serial"), SerialBackend)
         pool = make_backend("process", workers=2)
         assert isinstance(pool, ProcessBackend) and pool.workers == 2
-        dist = make_backend("distributed", cluster_workers=2)
+        dist = make_backend("distributed")
         assert isinstance(dist, DistributedBackend)
-        assert isinstance(dist.cluster, LocalCluster)
-        assert dist.cluster.size == 2
+        assert dist.cluster is None
         dist.close()
 
     def test_instance_passes_through(self):
@@ -270,7 +269,7 @@ class TestMakeBackend:
 
     def test_instance_with_topology_knobs_rejected(self):
         with pytest.raises(ParameterError, match="already-constructed"):
-            make_backend(DistributedBackend(), cluster_workers=2)
+            make_backend(DistributedBackend(), workers=2)
         with pytest.raises(ParameterError, match="already-constructed"):
             make_backend(SerialBackend(), workers=4)
 
@@ -281,10 +280,6 @@ class TestMakeBackend:
             make_backend(42)
 
     def test_inapplicable_topology_knobs_rejected(self):
-        with pytest.raises(ParameterError, match="cluster_workers"):
-            make_backend("serial", cluster_workers=2)
-        with pytest.raises(ParameterError, match="cluster_workers"):
-            make_backend("process", url="tcp://h:1")
         with pytest.raises(ParameterError, match="workers"):
             make_backend("distributed", workers=2)
         with pytest.raises(ParameterError, match="workers"):

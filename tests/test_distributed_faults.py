@@ -110,6 +110,37 @@ def _run_distributed(backend: DistributedBackend):
         runner.close()
 
 
+def _fake_worker(url, replies):
+    """Serve one connection over the real wire protocol (TCP, HMAC
+    handshake, pickle frames), answering each block with the frames
+    ``replies(epoch, index, accumulator)`` returns."""
+    from repro.sim.distributed import parse_url
+
+    host, port = parse_url(url)
+    with socket.create_connection((host, port), timeout=30.0) as sock:
+        sock.settimeout(30.0)
+        _authenticate_as_worker(sock, b"")
+        _send_msg(sock, ("hello", os.getpid()))
+        try:
+            while True:
+                message = _recv_msg(sock)
+                kind = message[0]
+                if kind == "shutdown":
+                    return
+                if kind == "ping":
+                    _send_msg(sock, ("pong",))
+                    continue
+                if kind != "tasks":
+                    continue
+                _, epoch, batch = message
+                for index, block_task in batch:
+                    accumulator = execute_block(block_task)
+                    for frame in replies(epoch, index, accumulator):
+                        _send_msg(sock, frame)
+        except (ConnectionError, OSError):
+            return
+
+
 def _merge_through(coordinator, tasks):
     """Run block tasks on an existing coordinator, merged in block
     order (the same fold BatchRunner.run_cells performs)."""
@@ -617,39 +648,6 @@ class TestSpeculativeDuplicates:
             )
         return cls._baseline
 
-    @staticmethod
-    def _fake_worker(url, copies_per_index):
-        """Serve one connection, sending duplicate results on purpose."""
-        from repro.sim.distributed import parse_url
-
-        host, port = parse_url(url)
-        with socket.create_connection((host, port), timeout=30.0) as sock:
-            sock.settimeout(30.0)
-            _authenticate_as_worker(sock, b"")
-            _send_msg(sock, ("hello", os.getpid()))
-            while True:
-                try:
-                    message = _recv_msg(sock)
-                except (ConnectionError, OSError):
-                    return
-                kind = message[0]
-                if kind == "shutdown":
-                    return
-                if kind == "ping":
-                    _send_msg(sock, ("pong",))
-                    continue
-                if kind != "tasks":
-                    continue
-                _, epoch, batch = message
-                for index, block_task in batch:
-                    accumulator = execute_block(block_task)
-                    copies = 1 + copies_per_index.get(index, 0)
-                    for _ in range(copies):
-                        _send_msg(
-                            sock,
-                            ("result", epoch, index, accumulator, 0.001),
-                        )
-
     @settings(max_examples=8, deadline=None)
     @given(dups=st.lists(st.integers(0, 2), min_size=6, max_size=6))
     def test_duplicate_deliveries_resolve_once_bit_identical(self, dups):
@@ -658,9 +656,14 @@ class TestSpeculativeDuplicates:
         assert len(tasks) == 6  # the strategy's min/max_size pin this
         copies_per_index = {index: k for index, k in enumerate(dups)}
         coordinator = Coordinator(secret=b"", straggler_factor=None)
+
+        def replies(epoch, index, accumulator):
+            copies = 1 + copies_per_index.get(index, 0)
+            return [("result", epoch, index, accumulator, 0.001)] * copies
+
         worker = threading.Thread(
-            target=self._fake_worker,
-            args=(coordinator.url, copies_per_index),
+            target=_fake_worker,
+            args=(coordinator.url, replies),
             daemon=True,
         )
         try:
@@ -678,3 +681,33 @@ class TestSpeculativeDuplicates:
             ours.same_values(ref)
             for ours, ref in zip(estimates, baseline)
         )
+
+
+class TestMalformedReplies:
+    def test_four_field_result_frame_drops_the_link(self, serial_reference):
+        """A worker whose ``result`` frames lack the compute-seconds
+        field is a broken link: the coordinator drops it and requeues
+        its tasks, and the grid still merges bit-identically to serial."""
+        coordinator = Coordinator(secret=b"", straggler_factor=None)
+        worker = threading.Thread(
+            target=_fake_worker,
+            args=(
+                coordinator.url,
+                lambda epoch, index, accumulator: [
+                    ("result", epoch, index, accumulator)
+                ],
+            ),
+            daemon=True,
+        )
+        try:
+            worker.start()
+            assert coordinator.wait_for_workers(1, timeout=30.0) == 1
+            estimates = _merge_through(
+                coordinator, plan_blocks(_grid_jobs(), CHUNK)
+            )
+            assert coordinator.workers == 0
+        finally:
+            coordinator.close()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        _assert_identical_to_serial(estimates, serial_reference)

@@ -37,6 +37,7 @@ from repro.goldens import (
     TraceEvent,
     TraceHeader,
     default_golden_dir,
+    golden_names,
     read_golden,
     record_golden,
     record_matrix,
@@ -298,9 +299,13 @@ class TestScenarios:
 
 class TestReplayClean:
     def test_fresh_recording_replays_identically(self, tmp_path):
+        # Both kinds: the executor matrix plus the taskset trace.
         paths = record_matrix(str(tmp_path))
         reports = replay_paths([str(tmp_path)])
-        assert len(reports) == len(paths) == len(GOLDEN_SCENARIOS)
+        assert len(reports) == len(paths) == len(GOLDEN_SCENARIOS) + 1 == 11
+        assert sorted(r.scenario_name for r in reports) == sorted(
+            golden_names()
+        )
         for report in reports:
             assert report.ok, report.render()
             assert report.divergence is None
@@ -602,7 +607,8 @@ class TestCli:
     def test_list_scenarios(self, capsys):
         assert main(["record-golden", "--list"]) == 0
         out = capsys.readouterr().out.split()
-        assert list(scenario_names()) == out
+        assert out == list(golden_names())
+        assert out == [*scenario_names(), "taskset-bursty-edf"]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,18 @@ class TestFixedMStudy:
         )
         assert results["adaptive"].p >= best_fixed_p - 0.05
 
+    def test_adaptive_energy_matches_best_fixed_m(self, task):
+        # Procedure num_SCP is worth it: within noise of the cheapest
+        # viable fixed m, and clearly cheaper than no subdivision.
+        results = fixed_m_study(task, ms=[1, 2, 4, 8, 16], reps=400, seed=41)
+        adaptive = results["adaptive"]
+        best_fixed = min(
+            (cell for name, cell in results.items() if name != "adaptive"),
+            key=lambda c: c.e if c.p > 0.95 else float("inf"),
+        )
+        assert adaptive.e <= best_fixed.e * 1.03
+        assert adaptive.e < results["m=1"].e
+
     def test_empty_ms_rejected(self, task):
         with pytest.raises(ParameterError):
             fixed_m_study(task, ms=[], reps=10, seed=0)
@@ -63,6 +75,13 @@ class TestRateFactorStudy:
         assert set(results) == {1.0, 2.0}
         for cell in results.values():
             assert cell.p > 0.9  # both factors keep the scheme viable
+
+    def test_convention_does_not_change_the_story(self, task):
+        # λ (simulation-consistent) vs 2λ (paper equations): both keep
+        # the scheme at P≈1, with energies within 2%.
+        results = rate_factor_study(task, factors=(1.0, 2.0), reps=400, seed=43)
+        assert results[1.0].p > 0.98 and results[2.0].p > 0.98
+        assert abs(results[1.0].e - results[2.0].e) < 0.02 * results[1.0].e
 
 
 class TestUtilizationSweep:
@@ -100,6 +119,19 @@ class TestOptimalMCurves:
         for curve in curves:
             assert curve.optimal_value == min(curve.values)
             assert curve.ms[curve.values.index(min(curve.values))] == curve.optimal_m
+
+    def test_longer_spans_subdivide_more(self):
+        # Paper fig. 2: longer intervals under fault pressure want more
+        # SCPs.
+        curves = optimal_m_curves(
+            [100.0, 177.0, 300.0, 500.0],
+            rate=2 * 1.4e-3,
+            store=2.0,
+            compare=20.0,
+            max_m=16,
+        )
+        scp = {c.span: c.optimal_m for c in curves if c.kind == "scp"}
+        assert scp[500.0] >= scp[100.0]
 
     def test_empty_spans_rejected(self):
         with pytest.raises(ParameterError):
