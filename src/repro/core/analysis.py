@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from scipy.stats import nbinom
-
+from repro.core import renewal
 from repro.errors import ParameterError
 
 __all__ = [
@@ -98,16 +97,17 @@ def static_expected_time(schedule: StaticSchedule) -> float:
 
 
 def static_timely_probability(schedule: StaticSchedule, deadline: float) -> float:
-    """Exact P(completion time ≤ deadline) for a uniform schedule.
+    """Exact P(completion time ≤ deadline).
 
-    Requires all interval lengths equal (within tolerance) so the total
-    time is ``(n + F)·(L + C) + F·t_r`` with ``F`` the total number of
-    failed attempts; ``F`` follows a negative binomial with ``n``
-    successes and success probability ``e^{−rate·L}``.  For non-uniform
-    tails the bound is still exact if the tail's attempt cost is no
-    larger — we conservatively use the dominant (full) attempt cost and
-    treat the tail's success probability separately via the product of
-    per-interval probabilities when no failures are affordable.
+    With all interval lengths equal (within tolerance) the total time
+    is ``(n + F)·(L + C) + F·t_r`` with ``F`` the total number of failed
+    attempts, and ``F`` follows a negative binomial with ``n`` successes
+    and success probability ``e^{−rate·L}``: the answer is its CDF at
+    the number of affordable failures (SciPy's ``nbinom``, imported
+    here, the only place ``src/`` needs SciPy).  When that probability
+    underflows to 0 no attempt can succeed and the answer is 0.  Any
+    other layout (a shorter tail) is computed exactly by
+    :func:`_timely_probability_dp`.
     """
     if deadline <= 0:
         return 0.0
@@ -130,6 +130,10 @@ def static_timely_probability(schedule: StaticSchedule, deadline: float) -> floa
     p_success = math.exp(-schedule.rate * length)
     if p_success >= 1.0:
         return 1.0
+    if p_success == 0.0:
+        return 0.0
+    from scipy.stats import nbinom
+
     return float(nbinom.cdf(allowed_failures, n, p_success))
 
 
@@ -185,8 +189,6 @@ def expected_time_with_subdivision(
     model.  This is ``R_SCP(n) = n·R1(m)`` / ``R_CCP(n) = n·R2(m)`` from
     the paper, pinned by ``tests/test_analysis.py``.
     """
-    from repro.core import renewal  # local import avoids cycle at module load
-
     if n_intervals < 1:
         raise ParameterError(f"n_intervals must be >= 1, got {n_intervals}")
     if kind == "scp":

@@ -9,6 +9,11 @@ minimises the expected CSCP-interval time ``R1(m)`` / ``R2(m)``:
 3. otherwise round ``T/T̃`` down and compare ``R(m)`` with ``R(m+1)``,
    keeping the smaller (paper fig. 2 lines 3-6).
 
+The bounded Brent search is an in-repo port of SciPy 1.17's
+``minimize_scalar(method="bounded")`` (:func:`_bounded_brent`), so the
+runtime needs numpy only; ``tests/test_optimizer.py`` pins it to SciPy
+plan for plan.
+
 Brute-force search over all integers is provided for validation and as
 a safety net for callers who prefer exactness over speed.
 """
@@ -17,9 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-from scipy.optimize import minimize_scalar
+from typing import Callable, Tuple
 
 from repro.core import renewal
 from repro.errors import ParameterError
@@ -59,36 +62,6 @@ class SubdivisionPlan:
     expected_time: float
 
 
-def _integer_refine(
-    span: float,
-    continuous_opt: float,
-    objective: Callable[[int], float],
-    max_m: int,
-) -> SubdivisionPlan:
-    """Paper fig. 2: floor ``T/T̃`` and compare with its successor.
-
-    ``objective`` is pure, so evaluations are memoised — the refined
-    ``m``'s value is computed once, not re-evaluated for the returned
-    plan (this sits on the adaptive schemes' per-fault replan path).
-    """
-    cache: dict = {}
-
-    def value(m: int) -> float:
-        result = cache.get(m)
-        if result is None:
-            result = objective(m)
-            cache[m] = result
-        return result
-
-    if not continuous_opt > 0 or continuous_opt >= span:
-        m = 1
-    else:
-        m = max(1, min(int(span / continuous_opt), max_m - 1))
-        if value(m) > value(m + 1):
-            m += 1
-    return SubdivisionPlan(m=m, sublength=span / m, expected_time=value(m))
-
-
 def num_scp(
     span: float,
     *,
@@ -125,7 +98,7 @@ def num_scp(
         )
     opt = renewal.scp_optimal_sublength(span, rate=rate, store=store)
 
-    # Inlined _integer_refine over an inlined R1: this sits on the
+    # Fig. 2's refinement inlined over an inlined R1: this sits on the
     # adaptive schemes' per-fault replan path, so the two candidate
     # evaluations share one argument validation and one ``expm1``
     # (both value-deterministic) while performing R1's float operations
@@ -176,8 +149,12 @@ def num_ccp(
 
     ``R2`` has no elementary continuous minimiser; the paper prescribes
     "the similar approach described in figure 2", which we realise with
-    a bounded Brent search for ``T̃2`` over ``(0, T]`` followed by the
-    same floor/ceil integer refinement.
+    a bounded Brent search for ``T̃2`` over ``[T/max_m, T]`` followed by
+    the same floor/ceil integer refinement.  The search is
+    :func:`_bounded_brent`, an in-repo port of SciPy's
+    ``minimize_scalar(method="bounded")`` that ``tests/test_optimizer.py``
+    pins to SciPy plan for plan (exceptions included); if it fails (its
+    evaluation cap, or NaN), ``T̃2 = T`` and ``m = 1``.
 
     With ``rate = 0`` extra comparisons are pure overhead, so ``m = 1``;
     with ``compare = 0`` they are free and ``m`` clamps to ``max_m``.
@@ -196,15 +173,160 @@ def num_ccp(
             m=max_m, sublength=span / max_m, expected_time=objective(max_m)
         )
 
-    def continuous(t2: float) -> float:
-        return renewal.ccp_interval_time(
-            t2, span=span, rate=rate, store=store, compare=compare, rollback=rollback
+    # As in num_scp: fig. 2's refinement inlined over an inlined R2, and
+    # ccp_interval_time_for_m(m) is r2(span / m) op for op.  A failed
+    # search (evaluation cap or NaN) means T̃ = T, i.e. m = 1.
+    r2 = _ccp_time(span, rate, store, compare, rollback)
+    opt, success = _bounded_brent(r2, span / max_m, span)
+    refine = success and 0 < opt < span
+    if refine:
+        m = max(1, min(int(span / opt), max_m - 1))
+    else:
+        m = 1
+    best = r2(span / m)
+    if refine:
+        successor = r2(span / (m + 1))
+        if best > successor:
+            m += 1
+            best = successor
+    return SubdivisionPlan(m=m, sublength=span / m, expected_time=best)
+
+
+def _ccp_time(
+    span: float, rate: float, store: float, compare: float, rollback: float
+) -> Callable[[float], float]:
+    """``R2`` as a function of ``T2`` alone, for ``rate > 0``.
+
+    ``renewal.ccp_interval_time(t2, ...)`` op for op, with its argument
+    validation and ``e^{rT} − 1`` done once here instead of at each of
+    the Brent search's evaluations (both are value-deterministic, and
+    an error they raise is the one the first evaluation would raise).
+    ``tests/test_optimizer.py`` pins exact agreement.
+    """
+    renewal._validate(span, rate, store, compare, rollback)
+    faults = renewal.expected_faults_per_interval(span, rate)
+
+    def r2(sublength: float) -> float:
+        if not 0 < sublength <= span:
+            raise ParameterError(
+                f"sublength must be in (0, span]; got {sublength} with span={span}"
+            )
+        attempts = faults / (-math.expm1(-rate * sublength))
+        return (
+            (sublength + compare) * attempts
+            + store * math.exp(rate * sublength)
+            + rollback * faults
         )
 
-    lo = span / max_m
-    result = minimize_scalar(continuous, bounds=(lo, span), method="bounded")
-    opt = float(result.x) if result.success else span
-    return _integer_refine(span, opt, objective, max_m)
+    return r2
+
+
+#: SciPy's ``minimize_scalar(method="bounded")`` constants at its
+#: defaults: absolute tolerance in x, evaluation cap, ``sqrt`` of its
+#: machine epsilon and the golden-section ratio.
+_XATOL = 1e-5
+_MAX_EVALUATIONS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(value: float) -> float:
+    """``np.sign(value) + (value == 0)``: +1 at zero, NaN passes through."""
+    if value >= 0:
+        return 1.0
+    return -1.0 if value < 0 else value
+
+
+def _maximum(u: float, v: float) -> float:
+    """``np.maximum(u, v)``: NaN if either is NaN, ``v`` on a tie."""
+    return u if u > v or u != u else v
+
+
+def _bounded_brent(
+    func: Callable[[float], float], a: float, b: float
+) -> Tuple[float, bool]:
+    """Minimise ``func`` over ``[a, b]``; return ``(x, success)``.
+
+    A port of SciPy 1.17's ``_minimize_scalar_bounded`` at its defaults,
+    statement for statement on Python floats: the same branch order
+    between parabolic and golden-section steps, the same bracket
+    updates and the same NaN handling, so every trial point and the
+    returned ``x`` are SciPy's bit for bit.  ``success`` is false when
+    the evaluation cap is hit or ``x``, ``f(x)`` or the last trial value
+    is NaN.  SciPy's checks that the bounds are finite and ordered are
+    left out: ``num_ccp`` passes the finite ``T/max_m <= T``.
+    """
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # Check for acceptability of parabola
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _sign(rat) * _maximum(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _MAX_EVALUATIONS:
+            return xf, False
+
+    return xf, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
 def brute_force_num_scp(

@@ -357,7 +357,8 @@ class ReplanTable:
     The fast kernel's rung 2 (:mod:`repro.sim.kernel`): instead of
     re-running ``_select_speed`` + ``_replan`` (``checkpoint_interval``
     plus the ``num_SCP``/``num_CCP`` renewal-model optimisation —
-    ~30-100 µs for the CCP Brent search) at every detected fault, the
+    ~20 µs per ``num_CCP`` Brent search at table 3/4 parameters on a
+    2-vCPU Intel Xeon) at every detected fault, the
     (remaining_cycles, deadline_left, faults_left) query is quantised
     onto a ``resolution × resolution`` grid and the decision is
     evaluated **at the bucket centre**, lazily, once per bucket.

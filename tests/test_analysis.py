@@ -69,6 +69,13 @@ class TestStaticTimelyProbability:
         schedule = static_schedule(100.0, 50.0, checkpoint_cost=22.0, rate=1e-3)
         assert static_timely_probability(schedule, 0.0) == 0.0
 
+    @pytest.mark.parametrize("work", [100.0, 105.0], ids=["uniform", "tail"])
+    def test_zero_when_success_probability_underflows(self, work):
+        # exp(-100·10) underflows to 0: no attempt can succeed, so both
+        # the negative-binomial path (uniform) and the DP (tail) give 0.
+        schedule = static_schedule(work, 10.0, checkpoint_cost=1.0, rate=100.0)
+        assert static_timely_probability(schedule, 1000.0) == 0.0
+
     def test_zero_failures_case_is_success_probability(self):
         # Deadline admits exactly the fault-free schedule: P = e^{-λ·work}.
         schedule = static_schedule(100.0, 50.0, checkpoint_cost=22.0, rate=2e-3)

@@ -1,6 +1,11 @@
 """Public-API integrity: everything advertised exists and works."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +109,37 @@ class TestPublicSurface:
             obj = getattr(repro, name)
             if isinstance(obj, type) or callable(obj):
                 assert getattr(obj, "__doc__", None), f"{name} lacks a docstring"
+
+
+class TestStartUp:
+    def test_runtime_never_imports_scipy(self):
+        # scipy would cost every cold `repro` command about a second; only
+        # the tests and core.analysis.static_timely_probability load it.
+        # A fresh interpreter, because this one has imported it for tests.
+        code = textwrap.dedent(
+            """
+            import sys
+
+            import repro, repro.cli, repro.service
+            from repro.experiments.config import table_spec
+
+            repro.num_ccp(177.0, rate=2.8e-3, store=2.0, compare=20.0)
+            spec = table_spec("3a")
+            u, lam = spec.rows[-1]
+            repro.estimate(
+                spec.task(u, lam), spec.policy_factory("A_D_C"), reps=4, seed=2006
+            )
+            print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
