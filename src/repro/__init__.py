@@ -69,12 +69,6 @@ from repro.sim.backends import (
 from repro.sim.distributed import Coordinator, LocalCluster, serve_worker
 from repro.sim.energy import EnergyAccount, EnergyModel
 from repro.sim.executor import RunResult, SimulationLimits, simulate_run
-from repro.sim.fastpath import (
-    StaticCellJob,
-    StaticCellSpec,
-    simulate_static_cell,
-    static_cell_for_scheme,
-)
 from repro.sim.metrics import (
     MeanEstimate,
     MomentAccumulator,
@@ -178,10 +172,6 @@ __all__ = [
     "Coordinator",
     "LocalCluster",
     "serve_worker",
-    "StaticCellSpec",
-    "StaticCellJob",
-    "simulate_static_cell",
-    "static_cell_for_scheme",
     # declarative study façade
     "Session",
     "Study",

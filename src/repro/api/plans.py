@@ -78,7 +78,7 @@ class CellPlan:
 
     key: str
     axes: Tuple[Tuple[str, object], ...]
-    job: object  # CellJob or repro.sim.fastpath.StaticCellJob
+    job: object  # CellJob, AnalyticCellJob or TasksetCellJob
 
 
 class UncacheableCell(ValueError):
@@ -173,12 +173,12 @@ def cell_identity(job: object, *, block_size: int) -> Optional[str]:
     cell's estimate* — the job type, the task spec, the policy factory
     and its scheme config, reps, the derived cell seed, the fault
     process and energy model, the executor ``kernel``, and the block
-    size (the unit of the blocked statistics reduction; fast-kernel and
-    static-fast-path draws are functions of it).  Axes labels and study
-    identity are deliberately *not* part of the key: two different
-    studies that expand to the same job share the cell — that is the
-    point of the cache — while ``exact`` and ``fast`` kernels are
-    different jobs and can never alias.
+    size (the unit of the blocked statistics reduction; fast-kernel
+    draws are functions of it).  Axes labels and study identity are
+    deliberately *not* part of the key: two different studies that
+    expand to the same job share the cell — that is the point of the
+    cache — while ``exact`` and ``fast`` kernels, and a sampled and an
+    analytic job, are different jobs and can never alias.
 
     Returns ``None`` for jobs with no sound content identity (see
     :class:`UncacheableCell`) — callers compute those without caching.

@@ -61,9 +61,9 @@ def job_with_kernel(job: object, kernel: str) -> object:
     """Stamp the effective kernel onto a cell job, where it applies.
 
     Only :class:`~repro.sim.backends.CellJob` carries a ``kernel``
-    field; static fast-path jobs (``StaticCellJob``) are already a
-    closed-form vectorised sampler with one deterministic stream, so
-    the mode is a no-op for them and they ship unchanged.
+    field; analytic cells (:class:`~repro.sim.backends.AnalyticCellJob`)
+    draw nothing, so the mode is a no-op for them and they ship
+    unchanged.
     """
     if kernel == "exact" or not hasattr(job, "kernel"):
         return job

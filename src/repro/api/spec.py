@@ -194,9 +194,10 @@ class StudySpec:
         there.  A ``frontier`` study uses ``freqs`` as the frequency
         axis of its ``(f, n)`` sweep.
     fast_static:
-        Route static-scheme cells through the vectorised fast path
-        (grid kinds only; statistically consistent, not bit-comparable
-        to the executor).
+        Compute static-scheme cells in closed form (grid kinds only):
+        every field is exact mode's expectation, with zero-width
+        intervals and ``reps`` as requested
+        (:class:`~repro.sim.backends.AnalyticCellJob`).
     faults_during_overhead:
         Inject faults during checkpoint overhead (``table``/``row``
         kinds; incompatible with ``fast_static``).

@@ -86,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast-static",
         action="store_true",
         help=(
-            "estimate the static scheme columns with the vectorised fast "
-            "path (statistically consistent, much faster; not "
-            "bit-comparable to the executor)"
+            "compute the static scheme columns in closed form: exact "
+            "mode's expectation on every field, zero-width intervals, "
+            "a cost that does not grow with --reps"
         ),
     )
     p_table.add_argument("--json", action="store_true", help="emit JSON")

@@ -29,12 +29,7 @@ from repro.core.schemes import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments import paper_data
-from repro.sim.backends import CellJob, DistributedBackend
-from repro.sim.fastpath import (
-    STATIC_SCHEMES,
-    StaticCellJob,
-    static_cell_for_scheme,
-)
+from repro.sim.backends import AnalyticCellJob, CellJob, DistributedBackend
 from repro.sim.task import TaskSpec
 
 __all__ = [
@@ -344,25 +339,25 @@ class TableSpec:
 
         The single builder behind every grid dispatcher (tables,
         sweeps, sensitivity): an executor :class:`~repro.sim.backends.
-        CellJob`, or — with ``fast_static`` and a static scheme — a
-        vectorised :class:`~repro.sim.fastpath.StaticCellJob`.
+        CellJob`, or — with ``fast_static`` and a static scheme — an
+        :class:`~repro.sim.backends.AnalyticCellJob`, the cell's exact
+        expectation in closed form.
         """
         task = self.task(u, lam)
-        if fast_static and scheme in STATIC_SCHEMES:
+        factory = self.policy_factory(scheme)
+        if fast_static and scheme in ("Poisson", "k-f-t"):
             if faults_during_overhead:
                 raise ConfigurationError(
                     "fast_static assumes the paper's convention that faults "
                     "during overhead are ignored; it cannot be combined "
                     "with faults_during_overhead=True"
                 )
-            return StaticCellJob(
-                spec=static_cell_for_scheme(task, scheme, self.static_frequency),
-                reps=reps,
-                seed=seed,
+            return AnalyticCellJob(
+                task=task, policy_factory=factory, reps=reps, seed=seed
             )
         return CellJob(
             task=task,
-            policy_factory=self.policy_factory(scheme),
+            policy_factory=factory,
             reps=reps,
             seed=seed,
             faults_during_overhead=faults_during_overhead,

@@ -85,9 +85,9 @@ def operating_map(
 
     With a ``runner`` the whole (λ × U × scheme) grid is dispatched in
     one batch — this is the largest Monte-Carlo sweep in the library.
-    ``fast_static`` routes the static scheme cells through the
-    vectorised fast path (statistically consistent, much faster),
-    which is what makes dense operating maps affordable.
+    ``fast_static`` computes the static scheme cells in closed form
+    (exact mode's expectation, at a cost that does not grow with
+    ``reps``), which is what makes dense operating maps affordable.
     """
     if not u_grid or not lam_grid:
         raise ParameterError("u_grid and lam_grid must be non-empty")

@@ -128,9 +128,10 @@ def utilization_sweep(
     crossover where static schemes collapse while the adaptive schemes
     hold P ≈ 1 appears directly.  With a ``runner`` the whole
     (U × scheme) grid is dispatched in one batch; ``fast_static``
-    swaps the static columns for vectorised
-    :class:`~repro.sim.fastpath.StaticCellJob` cells (statistically
-    consistent, much faster — the knob that makes dense U grids cheap).
+    swaps the static columns for closed-form
+    :class:`~repro.sim.backends.AnalyticCellJob` cells (exact mode's
+    expectation at a cost independent of ``reps`` — the knob that
+    makes dense U grids cheap).
     """
     if not u_grid:
         raise ParameterError("u_grid must be non-empty")

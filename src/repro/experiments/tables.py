@@ -12,8 +12,9 @@ so the two can never drift) and is dispatched as one batch through the
 session's :class:`~repro.sim.parallel.BatchRunner` — every execution
 backend (serial, process pool, distributed) sees the same job stream.
 With ``fast_static=True`` the static scheme columns become
-:class:`~repro.sim.fastpath.StaticCellJob`\\ s — the vectorised sampler
-— mixed into the same batch as the adaptive (executor) cells.
+:class:`~repro.sim.backends.AnalyticCellJob`\\ s — their exact
+expectations in closed form — mixed into the same batch as the adaptive
+(executor) cells.
 """
 
 from __future__ import annotations
@@ -189,16 +190,12 @@ def run_table(
         is built for this call and released afterwards.  Results are
         bit-identical across backends for a fixed block size.
     fast_static:
-        Route the static scheme columns (Poisson, k-f-t) through the
-        vectorised fast path instead of the event executor — one to two
-        orders of magnitude faster at paper-scale reps.  The estimates
-        are statistically consistent but drawn from a different sampler
-        (not bit-comparable to the executor), and on *doomed* runs
-        ``energy_all`` is capped at the fast path's horizon while the
-        fault/checkpoint counters count the full retry sequence (the
-        executor abandons such runs early instead); ``P`` and the
-        paper's timely ``E`` are unaffected.  Default off so
-        published-table comparisons stay executor-exact.
+        Compute the static scheme columns (Poisson, k-f-t) in closed
+        form instead of running the event executor: every field is
+        exact mode's expectation, doomed runs abandoned as the executor
+        abandons them, with zero-width intervals and a cost that does
+        not grow with ``reps``.  Default off so published-table
+        comparisons carry the executor's own sampling noise.
     """
     spec = (
         table_id_or_spec

@@ -6,7 +6,6 @@ from repro.sim import (
     distributed,
     energy,
     executor,
-    fastpath,
     faults,
     metrics,
     montecarlo,
@@ -22,7 +21,6 @@ __all__ = [
     "distributed",
     "energy",
     "executor",
-    "fastpath",
     "faults",
     "metrics",
     "montecarlo",

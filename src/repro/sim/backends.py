@@ -44,6 +44,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Deque,
     Dict,
@@ -55,15 +56,23 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.core.analysis import StaticSchedule, static_outcome, static_schedule
 from repro.errors import ConfigurationError, ParameterError, SimulationError
 from repro.sim.energy import EnergyModel
-from repro.sim.executor import SimulationLimits
+from repro.sim.executor import SimulationLimits, default_energy_model
 from repro.sim.faults import FaultProcess
-from repro.sim.montecarlo import CellAccumulator, PolicyFactory, accumulate_range
+from repro.sim.montecarlo import (
+    CellAccumulator,
+    CellExpectation,
+    PolicyFactory,
+    accumulate_range,
+)
+from repro.sim.state import ExecutionState
 from repro.sim.task import TaskSpec
 
 __all__ = [
     "CellJob",
+    "AnalyticCellJob",
     "BlockTask",
     "DispatchStats",
     "ExecutionBackend",
@@ -84,7 +93,7 @@ BACKEND_NAMES = ("serial", "process", "distributed")
 
 #: Target wall-clock per dispatched batch for latency-adaptive
 #: batching: long enough to amortise per-message overhead on cheap
-#: (fast-static) blocks, short enough that a worker claim never holds
+#: (analytic) blocks, short enough that a worker claim never holds
 #: more than a fraction of a second of work from the other workers.
 DEFAULT_DISPATCH_TARGET = 0.25
 
@@ -130,9 +139,8 @@ class CellJob:
 
         In exact mode rep ``i`` draws from ``SeedSequence(seed,
         spawn_key=(i,))`` whatever the block bounds, so ``block`` is
-        unused here — the executor path is deterministic *per rep*,
-        stronger than the per-block contract the static fast path
-        provides.  Runs flow through the worker's reusable
+        unused here — the executor path is deterministic *per rep*.
+        Runs flow through the worker's reusable
         :class:`~repro.sim.montecarlo.RunSlab` (bit-identical to
         per-rep accumulation, see :func:`~repro.sim.montecarlo.
         accumulate_range`).  In fast mode the block's draws are a pure
@@ -154,6 +162,83 @@ class CellJob:
         )
 
 
+def _cell_schedule(task: TaskSpec, frequency: float, interval: float):
+    """The layout of ``task`` at one speed, in time units at that speed."""
+    costs = task.costs
+    return static_schedule(
+        task.cycles / frequency,
+        interval,
+        checkpoint_cost=costs.checkpoint_cycles / frequency,
+        rollback_cost=costs.rollback_cycles / frequency,
+        rate=task.fault_rate,
+    )
+
+
+@lru_cache(maxsize=1024)
+def _cell_outcome(task: TaskSpec, frequency: float, interval: float):
+    """The closed-form pass of one static cell, once per process."""
+    schedule = _cell_schedule(task, frequency, interval)
+    return static_outcome(schedule, task.deadline)
+
+
+@dataclass(frozen=True)
+class AnalyticCellJob:
+    """One static-policy cell computed in closed form instead of sampled.
+
+    A static policy runs one interval layout at one speed, read here
+    from the policy itself, so every field has an exact expectation
+    under the executor's rules (:func:`~repro.core.analysis.
+    static_outcome`; faults during overhead ignored, the executor's
+    default).  Energy is ``n·V(f)²·f`` times the expected time.  Every
+    block returns that expectation weighted by its rep count, so the
+    estimate has zero-width intervals, ``reps`` as requested, and is
+    the same for any block size or backend.  The pass is memoised per
+    process, so its cost does not depend on ``reps``.  Nothing is drawn:
+    ``seed`` only keeps the field set of :class:`CellJob`.
+    """
+
+    task: TaskSpec
+    policy_factory: PolicyFactory
+    reps: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        from repro.core.schemes import _StaticPolicy
+
+        if self.reps <= 0:
+            raise ParameterError(f"reps must be > 0, got {self.reps}")
+        if not isinstance(self.policy_factory(), _StaticPolicy):
+            raise ParameterError(
+                "an analytic cell needs a static policy (one fixed "
+                f"interval at one speed), got {self.policy_factory!r}"
+            )
+
+    def _speed_and_interval(self) -> Tuple[float, float]:
+        policy = self.policy_factory()
+        state = ExecutionState.fresh(self.task)
+        policy.start(state)
+        return state.frequency, policy.plan(state).interval_time
+
+    def schedule(self) -> StaticSchedule:
+        """The interval layout the executor runs for this cell."""
+        return _cell_schedule(self.task, *self._speed_and_interval())
+
+    def run_block(self, block: int, start: int, stop: int) -> CellExpectation:
+        """The cell's expectation, weighted by the ``stop - start`` reps."""
+        frequency, interval = self._speed_and_interval()
+        outcome = _cell_outcome(self.task, frequency, interval)
+        power = default_energy_model().segment_energy(frequency, frequency)
+        return CellExpectation(
+            reps=stop - start,
+            p_timely=outcome.p_timely,
+            energy_timely=power * outcome.finish_timely,
+            energy_all=power * outcome.end_time,
+            finish_timely=outcome.finish_timely,
+            detected_faults=outcome.detected_faults,
+            checkpoints=outcome.checkpoints,
+        )
+
+
 @dataclass(frozen=True)
 class BlockTask:
     """One fixed-size rep block of one job in a batch.
@@ -163,7 +248,7 @@ class BlockTask:
     ``(job_index, block)`` order regardless of completion order.
     """
 
-    job: object  # CellJob or repro.sim.fastpath.StaticCellJob
+    job: object  # CellJob, AnalyticCellJob or a TasksetCellJob
     job_index: int
     block: int
     start: int
@@ -171,7 +256,12 @@ class BlockTask:
 
 
 def execute_block(task: BlockTask) -> CellAccumulator:
-    """Worker entry point (module-level so it pickles by reference)."""
+    """Worker entry point (module-level so it pickles by reference).
+
+    Returns the job's mergeable block result: a
+    :class:`~repro.sim.montecarlo.CellAccumulator`, or a
+    :class:`~repro.sim.montecarlo.CellExpectation` for an analytic job.
+    """
     return task.job.run_block(task.block, task.start, task.stop)
 
 
@@ -194,9 +284,10 @@ def execute_batch(
 def dispatch_kind(task: BlockTask) -> str:
     """The latency class of a block task (its job type).
 
-    Static fast-path blocks are ~100× cheaper than event-executor
-    blocks, so latency statistics are kept per job type — one EWMA for
-    ``StaticCellJob``, one for ``CellJob`` — rather than pooled.
+    Analytic blocks cost microseconds once their cell's pass is
+    memoised, against milliseconds for an event-executor block, so
+    latency statistics are kept per job type — one EWMA for
+    ``AnalyticCellJob``, one for ``CellJob`` — rather than pooled.
     """
     return type(task.job).__name__
 
@@ -314,7 +405,7 @@ class ProcessBackend:
 
     Dispatch is **latency-adaptive**: consecutive same-kind blocks are
     grouped so one pool round trip carries ``target_seconds`` of
-    estimated compute — fast-static blocks (cheap) ride dozens to a
+    estimated compute — analytic blocks (cheap) ride dozens to a
     message while executor blocks go individually, so mixed grids
     neither convoy behind per-future overhead nor load-imbalance behind
     huge claims.  Submission is windowed: groups are sized with the

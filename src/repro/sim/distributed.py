@@ -854,9 +854,9 @@ class Coordinator:
                     # explicitly tuned value keeps working on
                     # high-latency links); once the kind has a latency
                     # sample the EWMA sizing takes over.  A claim never
-                    # mixes kinds, so a cheap fast-static run cannot
-                    # hide an expensive executor block inside a big
-                    # claim.
+                    # mixes kinds, so a cheap run of analytic blocks
+                    # cannot hide an expensive executor block inside a
+                    # big claim.
                     head_kind = dispatch_kind(self._tasks[self._queue[0]])
                     if self.dispatch_stats.block_latency(head_kind) is None:
                         size = self.batch_size

@@ -21,6 +21,7 @@ shipping raw per-rep observations.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
@@ -53,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = [
     "CellAccumulator",
     "CellEstimate",
+    "CellExpectation",
     "RunSlab",
     "accumulate_range",
     "estimate",
@@ -297,6 +299,61 @@ class CellAccumulator:
             mean_detected_faults=self.detected_faults / reps,
             mean_checkpoints=self.checkpoints / reps,
             mean_sub_checkpoints=self.sub_checkpoints / reps,
+            reps=reps,
+        )
+
+
+@dataclass(slots=True)
+class CellExpectation:
+    """Mergeable rep-weighted expectations behind an analytic cell.
+
+    The closed-form counterpart of :class:`CellAccumulator`: what a
+    block of an :class:`~repro.sim.backends.AnalyticCellJob` returns —
+    the cell's exact per-run expectations and the rep count they stand
+    for.  :meth:`merge` adds the rep counts and takes the rep-weighted
+    mean of each field, which leaves the fields untouched bit for bit
+    when both sides hold the same cell (every block of a cell does), so
+    the merged estimate is the same for any block size.
+    """
+
+    reps: int
+    p_timely: float
+    energy_timely: float
+    energy_all: float
+    finish_timely: float
+    detected_faults: float
+    checkpoints: float
+
+    def merge(self, other: "CellExpectation") -> "CellExpectation":
+        """Fold in another block (order-free: a weighted mean)."""
+        total = self.reps + other.reps
+        share = other.reps / total if total else 0.0
+        for name in self.__slots__[1:]:
+            mine = getattr(self, name)
+            setattr(self, name, mine + (getattr(other, name) - mine) * share)
+        self.reps = total
+        return self
+
+    def finalize(self) -> CellEstimate:
+        """Close out into a :class:`CellEstimate` with zero-width intervals.
+
+        ``E`` follows the paper's convention: ``NaN`` with count 0 when
+        no run can be timely.
+        """
+        reps, p, energy = self.reps, self.p_timely, self.energy_all
+        if reps == 0:
+            raise ParameterError("cannot summarise zero results")
+        e, timely = (self.energy_timely, reps) if p > 0.0 else (math.nan, 0)
+        return CellEstimate(
+            p_timely=ProportionEstimate(value=p, low=p, high=p, trials=reps),
+            energy_timely=MeanEstimate(value=e, low=e, high=e, count=timely),
+            energy_all=MeanEstimate(
+                value=energy, low=energy, high=energy, count=reps
+            ),
+            mean_finish_time_timely=self.finish_timely,
+            mean_detected_faults=self.detected_faults,
+            mean_checkpoints=self.checkpoints,
+            mean_sub_checkpoints=0.0,
             reps=reps,
         )
 

@@ -16,8 +16,9 @@ topology ever reaches the random streams or the reduction:
 
 * **Seeding** — keyed by *absolute indices*, never by worker or
   completion order.  Executor cells draw rep ``i`` from
-  ``SeedSequence(cell_seed, spawn_key=(i,))``; static fast-path cells
-  draw block ``b`` from ``SeedSequence(cell_seed, spawn_key=(b,))``.
+  ``SeedSequence(cell_seed, spawn_key=(i,))``; fast-kernel cells draw
+  each block from a Philox stream keyed by its first rep, and analytic
+  cells draw nothing.
 * **Blocked reduction** — the unit of accumulation is the fixed-size
   block (``chunk_size`` reps, default :data:`DEFAULT_BLOCK_SIZE`).
   Each block streams its reps in order into O(1) moment accumulators
@@ -177,8 +178,8 @@ class BatchRunner:
         """Estimate a whole grid of cells, interleaving their blocks.
 
         ``jobs`` may mix :class:`~repro.sim.backends.CellJob` (event
-        executor), :class:`~repro.sim.fastpath.StaticCellJob`
-        (vectorised fast path) and
+        executor), :class:`~repro.sim.backends.AnalyticCellJob` (a
+        static cell in closed form) and
         :class:`~repro.workloads.TasksetCellJob` (multi-task EDF
         scenario engine) — anything with ``reps``/``seed`` and a
         block-deterministic ``run_block`` flows through the same

@@ -43,18 +43,6 @@ class RandomSource:
         child = np.random.SeedSequence(self._seed, spawn_key=(index,))
         return np.random.default_rng(child)
 
-    def block_stream(self, block: int) -> np.random.Generator:
-        """The draw stream of the ``block``-th fixed-size rep block.
-
-        The chunk-stable contract of the vectorised static fast path
-        (:mod:`repro.sim.fastpath`): block ``b`` of a cell always draws
-        from ``SeedSequence(cell_seed, spawn_key=(b,))`` — the spawn
-        tree of :meth:`substream`, re-keyed from per-rep to per-block —
-        so which worker samples the block, and in what order blocks
-        complete, cannot change the realisations.
-        """
-        return self.substream(block)
-
     def fast_block_stream(self, block_start: int) -> np.random.Generator:
         """One vectorised Philox stream for a fast-kernel rep block.
 
@@ -66,8 +54,8 @@ class RandomSource:
         of the block's first rep — so, for a fixed chunk size, which
         worker draws the block (and in what order blocks complete)
         cannot change the realisations: fast mode's *block-determinism*
-        contract, the fast twin of :meth:`block_stream`'s.  The tag
-        keeps this universe disjoint from the exact mode's spawn tree.
+        contract.  The tag keeps this universe disjoint from the exact
+        mode's spawn tree.
         """
         if block_start < 0:
             raise ValueError(

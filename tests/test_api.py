@@ -34,7 +34,6 @@ class TestPublicSurface:
             "repro.sim",
             "repro.sim.energy",
             "repro.sim.executor",
-            "repro.sim.fastpath",
             "repro.sim.faults",
             "repro.sim.metrics",
             "repro.sim.montecarlo",
@@ -67,13 +66,13 @@ class TestPublicSurface:
 
     def test_module_all_lists_resolve(self):
         for module_name in (
+            "repro.core.analysis",
             "repro.core.intervals",
             "repro.core.renewal",
             "repro.core.optimizer",
             "repro.core.schemes",
             "repro.sim.executor",
             "repro.sim.faults",
-            "repro.sim.fastpath",
             "repro.experiments.sensitivity",
         ):
             module = importlib.import_module(module_name)
@@ -114,13 +113,17 @@ class TestPublicSurface:
 class TestStartUp:
     def test_runtime_never_imports_scipy(self):
         # scipy would cost every cold `repro` command about a second; only
-        # the tests and core.analysis.static_timely_probability load it.
-        # A fresh interpreter, because this one has imported it for tests.
+        # the tests load it, closed forms included.  A fresh interpreter,
+        # because this one has imported it for tests.
         code = textwrap.dedent(
             """
             import sys
 
             import repro, repro.cli, repro.service
+            from repro.core.analysis import (
+                static_schedule,
+                static_timely_probability,
+            )
             from repro.experiments.config import table_spec
 
             repro.num_ccp(177.0, rate=2.8e-3, store=2.0, compare=20.0)
@@ -129,6 +132,14 @@ class TestStartUp:
             repro.estimate(
                 spec.task(u, lam), spec.policy_factory("A_D_C"), reps=4, seed=2006
             )
+            static_timely_probability(
+                static_schedule(1000.0, 100.0, checkpoint_cost=22.0, rate=2e-3),
+                1600.0,
+            )
+            study = repro.StudySpec(
+                kind="table", table="1a", reps=4, seed=2006, fast_static=True
+            )
+            repro.Study(study).run()
             print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
             """
         )

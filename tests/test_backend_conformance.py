@@ -10,12 +10,14 @@ for empty input, idempotent ``close()`` — is exercised here against
 :class:`~repro.sim.distributed.LocalCluster`.  A new backend earns its
 place by passing this module unchanged.
 
-The shared grid deliberately mixes an executor :class:`CellJob` with
-vectorised :class:`~repro.sim.fastpath.StaticCellJob` cells — the
-acceptance shape for the distributed transport — and the per-backend
-fixtures are module-scoped, so the distributed backend also proves
-that one coordinator/cluster survives many consecutive batches (the
-``validate`` usage pattern).
+The shared grid mixes exact and fast-kernel :class:`CellJob`\\ s: every
+block draws its own realisations, so a misaligned result or an
+out-of-order merge changes the answer.  The dispatch tests add
+closed-form :class:`AnalyticCellJob` cells as a second job kind, which
+is what latency statistics and claim grouping are keyed on.  The
+per-backend fixtures are module-scoped, so the distributed backend also
+proves that one coordinator/cluster survives many consecutive batches
+(the ``validate`` usage pattern).
 """
 
 from functools import partial
@@ -25,6 +27,7 @@ import pytest
 from repro.core.checkpoints import CostModel
 from repro.core.schemes import KFaultTolerantPolicy, PoissonArrivalPolicy
 from repro.sim.backends import (
+    AnalyticCellJob,
     CellJob,
     DistributedBackend,
     ExecutionBackend,
@@ -33,7 +36,6 @@ from repro.sim.backends import (
     plan_blocks,
 )
 from repro.sim.distributed import LocalCluster
-from repro.sim.fastpath import StaticCellJob, static_cell_for_scheme
 from repro.sim.parallel import BatchRunner
 from repro.sim.task import TaskSpec
 
@@ -52,11 +54,15 @@ def _task() -> TaskSpec:
 
 
 def _mixed_jobs():
-    """A small mixed (executor + fast-static) grid, fresh per call."""
+    """A small mixed (exact + fast kernel) sampled grid, fresh per call."""
     task = _task()
     return [
-        StaticCellJob(
-            spec=static_cell_for_scheme(task, "Poisson", 1.0), reps=90, seed=4
+        CellJob(
+            task=task,
+            policy_factory=partial(PoissonArrivalPolicy, 1.0),
+            reps=90,
+            seed=4,
+            kernel="fast",
         ),
         CellJob(
             task=task,
@@ -64,8 +70,12 @@ def _mixed_jobs():
             reps=50,
             seed=4,
         ),
-        StaticCellJob(
-            spec=static_cell_for_scheme(task, "k-f-t", 1.0), reps=70, seed=11
+        CellJob(
+            task=task,
+            policy_factory=partial(KFaultTolerantPolicy, 1.0),
+            reps=70,
+            seed=11,
+            kernel="fast",
         ),
         CellJob(
             task=task,
@@ -73,6 +83,28 @@ def _mixed_jobs():
             reps=40,
             seed=7,
         ),
+    ]
+
+
+def _two_kind_jobs():
+    """The sampled grid with analytic cells between: two dispatch kinds."""
+    task = _task()
+    sampled = _mixed_jobs()
+    return [
+        AnalyticCellJob(
+            task=task,
+            policy_factory=partial(PoissonArrivalPolicy, 1.0),
+            reps=90,
+            seed=4,
+        ),
+        *sampled[:2],
+        AnalyticCellJob(
+            task=task,
+            policy_factory=partial(KFaultTolerantPolicy, 1.0),
+            reps=70,
+            seed=11,
+        ),
+        *sampled[2:],
     ]
 
 
@@ -108,6 +140,12 @@ def reference_task_results():
 def reference_estimates():
     """Whole-grid estimates from the serial runner at the shared chunk."""
     return BatchRunner.serial(chunk_size=CHUNK).run_cells(_mixed_jobs())
+
+
+@pytest.fixture(scope="module")
+def two_kind_reference():
+    """The serial estimates of the two-kind dispatch grid."""
+    return BatchRunner.serial(chunk_size=CHUNK).run_cells(_two_kind_jobs())
 
 
 class TestSharedContract:
@@ -206,37 +244,39 @@ class TestAdaptiveDispatch:
     boundaries or merge order.
     """
 
-    def test_process_warm_ewma_still_matches(self, reference_estimates):
+    def test_process_warm_ewma_still_matches(self, two_kind_reference):
         """A second grid through the same backend runs with converged
         latency statistics (bigger groups) — results cannot move."""
         backend = ProcessBackend(2)
         try:
             runner = BatchRunner(backend=backend, chunk_size=CHUNK)
-            first = runner.run_cells(_mixed_jobs())
-            assert backend.dispatch_stats.block_latency("StaticCellJob") is not None
-            second = runner.run_cells(_mixed_jobs())
+            first = runner.run_cells(_two_kind_jobs())
+            stats = backend.dispatch_stats
+            assert stats.block_latency("AnalyticCellJob") is not None
+            assert stats.block_latency("CellJob") is not None
+            second = runner.run_cells(_two_kind_jobs())
         finally:
             backend.close()
-        for cold, warm, ref in zip(first, second, reference_estimates):
+        for cold, warm, ref in zip(first, second, two_kind_reference):
             assert cold.same_values(ref)
             assert warm.same_values(ref)
 
     @pytest.mark.parametrize("batch_size", [1, 7])
     def test_coordinator_claim_size_is_result_free(
-        self, batch_size, reference_estimates
+        self, batch_size, two_kind_reference
     ):
         backend = DistributedBackend(
             cluster=LocalCluster(2), batch_size=batch_size
         )
         try:
             estimates = BatchRunner(backend=backend, chunk_size=CHUNK).run_cells(
-                _mixed_jobs()
+                _two_kind_jobs()
             )
         finally:
             backend.close()
         assert all(
             ours.same_values(ref)
-            for ours, ref in zip(estimates, reference_estimates)
+            for ours, ref in zip(estimates, two_kind_reference)
         )
 
     def test_grouping_never_mixes_kinds(self):
@@ -247,10 +287,14 @@ class TestAdaptiveDispatch:
         from repro.sim.backends import DispatchStats, dispatch_kind, plan_blocks
 
         backend = ProcessBackend(2)
-        # Pretend static blocks are very cheap: batch size maxes out.
-        backend.dispatch_stats.observe("StaticCellJob", 1e-6)
+        # Pretend every block is very cheap: batch size maxes out.
+        backend.dispatch_stats.observe("AnalyticCellJob", 1e-6)
         backend.dispatch_stats.observe("CellJob", 1e-6)
-        tasks = plan_blocks(_mixed_jobs(), CHUNK)
+        tasks = plan_blocks(_two_kind_jobs(), CHUNK)
+        assert {dispatch_kind(task) for task in tasks} == {
+            "AnalyticCellJob",
+            "CellJob",
+        }
         pending = deque(range(len(tasks)))
         while pending:
             group, kind = backend._next_group(tasks, pending)

@@ -25,7 +25,6 @@ from repro.sim.backends import (
     execute_block,
     plan_blocks,
 )
-from repro.sim.fastpath import StaticCellJob, static_cell_for_scheme
 from repro.sim.parallel import BatchRunner
 from repro.sim.task import TaskSpec
 
@@ -43,8 +42,14 @@ def task():
 
 @pytest.fixture
 def jobs(task):
-    static = StaticCellJob(
-        spec=static_cell_for_scheme(task, "Poisson", 1.0), reps=90, seed=4
+    # Sampled jobs only: every block draws its own realisations, so a
+    # misaligned or recomputed block would show in the results.
+    fast = CellJob(
+        task=task,
+        policy_factory=partial(PoissonArrivalPolicy, 1.0),
+        reps=90,
+        seed=4,
+        kernel="fast",
     )
     executor = CellJob(
         task=task,
@@ -52,7 +57,7 @@ def jobs(task):
         reps=50,
         seed=4,
     )
-    return [static, executor]
+    return [fast, executor]
 
 
 class TestPlanning:

@@ -223,9 +223,11 @@ class TestClusterSpawnFailure:
         """A cluster whose workers cannot even start must raise, not
         silently compute the whole grid in-process (that would let a
         worker-entry-point regression masquerade as a passing run)."""
+        from functools import partial
+
         from repro.core.checkpoints import CostModel
-        from repro.sim.backends import plan_blocks
-        from repro.sim.fastpath import StaticCellJob, static_cell_for_scheme
+        from repro.core.schemes import PoissonArrivalPolicy
+        from repro.sim.backends import CellJob, plan_blocks
         from repro.sim.task import TaskSpec
 
         task = TaskSpec(
@@ -236,10 +238,12 @@ class TestClusterSpawnFailure:
             costs=CostModel.scp_favourable(),
         )
         jobs = [
-            StaticCellJob(
-                spec=static_cell_for_scheme(task, "Poisson", 1.0),
+            CellJob(
+                task=task,
+                policy_factory=partial(PoissonArrivalPolicy, 1.0),
                 reps=40,
                 seed=1,
+                kernel="fast",
             )
         ]
         backend = DistributedBackend(

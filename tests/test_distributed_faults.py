@@ -4,8 +4,10 @@ Correctness for a distributed transport *is* its failure behaviour, so
 every scenario here ends the same way: whatever was killed, dropped or
 never started, the merged :class:`~repro.sim.montecarlo.CellEstimate`\\ s
 must be bit-identical to the :class:`~repro.sim.backends.SerialBackend`
-pass over the same mixed (executor + fast-static) grid, with exact rep
-counts (nothing lost, nothing double-merged).
+pass over the same mixed (exact + fast kernel) grid, with exact rep
+counts (nothing lost, nothing double-merged).  Every job samples, so a
+block merged twice, out of order or from the wrong recompute would
+change the answer.
 
 Deterministic injection uses the worker's ``max_tasks`` crash hook
 (complete N blocks, then drop the connection — mid-batch if the cap
@@ -51,7 +53,6 @@ from repro.sim.distributed import (
     _recv_msg,
     _send_msg,
 )
-from repro.sim.fastpath import StaticCellJob, static_cell_for_scheme
 from repro.sim.montecarlo import CellAccumulator
 from repro.sim.parallel import BatchRunner
 from repro.sim.task import TaskSpec
@@ -73,8 +74,12 @@ def _grid_jobs():
     """The mixed grid every scenario replays (fresh instances)."""
     task = _task()
     return [
-        StaticCellJob(
-            spec=static_cell_for_scheme(task, "Poisson", 1.0), reps=120, seed=4
+        CellJob(
+            task=task,
+            policy_factory=partial(PoissonArrivalPolicy, 1.0),
+            reps=120,
+            seed=4,
+            kernel="fast",
         ),
         CellJob(
             task=task,
@@ -82,8 +87,12 @@ def _grid_jobs():
             reps=60,
             seed=4,
         ),
-        StaticCellJob(
-            spec=static_cell_for_scheme(task, "k-f-t", 1.0), reps=80, seed=9
+        CellJob(
+            task=task,
+            policy_factory=partial(KFaultTolerantPolicy, 1.0),
+            reps=80,
+            seed=9,
+            kernel="fast",
         ),
     ]
 
@@ -332,24 +341,16 @@ class TestMergeIdempotence:
         for index in range(rng.randint(2, 4)):
             reps = rng.randint(15, 60)
             job_seed = rng.randint(0, 10_000)
-            if rng.random() < 0.5:
-                scheme = rng.choice(["Poisson", "k-f-t"])
-                jobs.append(
-                    StaticCellJob(
-                        spec=static_cell_for_scheme(task, scheme, 1.0),
-                        reps=reps,
-                        seed=job_seed,
-                    )
+            policy = rng.choice([PoissonArrivalPolicy, KFaultTolerantPolicy])
+            jobs.append(
+                CellJob(
+                    task=task,
+                    policy_factory=partial(policy, 1.0),
+                    reps=reps,
+                    seed=job_seed,
+                    kernel=rng.choice(["exact", "fast"]),
                 )
-            else:
-                jobs.append(
-                    CellJob(
-                        task=task,
-                        policy_factory=partial(PoissonArrivalPolicy, 1.0),
-                        reps=reps,
-                        seed=job_seed,
-                    )
-                )
+            )
         chunk = rng.choice([8, 16, 32])
         tasks = plan_blocks(jobs, chunk)
         baseline = BatchRunner.serial(chunk_size=chunk).run_cells(jobs)
@@ -628,15 +629,19 @@ class TestSpeculativeDuplicates:
     def _property_jobs():
         task = _task()
         return [
-            StaticCellJob(
-                spec=static_cell_for_scheme(task, "Poisson", 1.0),
+            CellJob(
+                task=task,
+                policy_factory=partial(PoissonArrivalPolicy, 1.0),
                 reps=24,
                 seed=11,
+                kernel="fast",
             ),
-            StaticCellJob(
-                spec=static_cell_for_scheme(task, "k-f-t", 1.0),
+            CellJob(
+                task=task,
+                policy_factory=partial(KFaultTolerantPolicy, 1.0),
                 reps=24,
                 seed=12,
+                kernel="fast",
             ),
         ]
 

@@ -1,15 +1,15 @@
-"""Executor/fast-path parity: the fastpath docstring, made executable.
+"""Executor/analytic parity: the ``fast_static`` contract, made executable.
 
-:mod:`repro.sim.fastpath` promises to reproduce the event executor's
-semantics for the static schemes exactly (same ``P``, same
-timely-conditional ``E``).  The two implementations share no hot-path
-code, so agreement over a *randomized* grid of (scheme, frequency, U,
-λ, k) cells is strong evidence both are right — much stronger than the
-handful of hand-picked cells in ``tests/test_fastpath.py``.
+:class:`~repro.sim.backends.AnalyticCellJob` promises exact mode's
+expectation on every field of a static cell.  The closed form and the
+event executor share no hot-path code, so agreement over a *randomized*
+grid of (scheme, frequency, U, λ, k) cells is strong evidence both are
+right — much stronger than the handful of hand-picked cells in
+``tests/test_fastpath.py``.
 
 The grid is drawn from a seeded PRNG (reproducible run to run) and the
-tolerances are derived from the estimates' own confidence intervals at
-99.9%, scaled up — this is a parity check, not a flakiness generator.
+tolerances are derived from the executor's own confidence intervals at
+99.9% — the analytic side has no sampling error of its own.
 """
 
 import math
@@ -20,15 +20,15 @@ import pytest
 
 from repro.core.checkpoints import CostModel
 from repro.core.schemes import KFaultTolerantPolicy, PoissonArrivalPolicy
-from repro.sim.fastpath import simulate_static_cell, static_cell_for_scheme
+from repro.sim.backends import AnalyticCellJob
 from repro.sim.metrics import wilson_interval
 from repro.sim.montecarlo import estimate
-from repro.sim.rng import RandomSource
+from repro.sim.parallel import BatchRunner
 from repro.sim.task import TaskSpec
 
 DEADLINE = 10_000.0
 EXECUTOR_REPS = 1200
-FASTPATH_REPS = 12_000
+ANALYTIC_REPS = 12_000
 
 _POLICIES = {"Poisson": PoissonArrivalPolicy, "k-f-t": KFaultTolerantPolicy}
 
@@ -69,6 +69,12 @@ def _half_width(low: float, high: float) -> float:
     return (high - low) / 2.0
 
 
+def _analytic(task, policy_factory, reps):
+    return BatchRunner.serial().run_cell(
+        AnalyticCellJob(task=task, policy_factory=policy_factory, reps=reps)
+    )
+
+
 class TestRandomizedParity:
     @pytest.mark.parametrize("task,scheme,frequency,seed", _draw_cases(6))
     def test_p_and_timely_e_agree(self, task, scheme, frequency, seed):
@@ -76,45 +82,39 @@ class TestRandomizedParity:
         slow = estimate(
             task, partial(policy, frequency), reps=EXECUTOR_REPS, seed=seed
         )
-        spec = static_cell_for_scheme(task, scheme, frequency)
-        fast = simulate_static_cell(
-            spec, reps=FASTPATH_REPS, rng=RandomSource(seed + 1).generator()
-        )
+        fast = _analytic(task, partial(policy, frequency), ANALYTIC_REPS)
+        assert fast.reps == ANALYTIC_REPS
 
-        # P: tolerance from both estimators' Wilson intervals at 99.9%,
-        # plus a small floor for the extreme-P corners.
-        slow_ci = wilson_interval(
+        # P: the analytic value inside the executor's Wilson interval at
+        # 99.9%, plus a small floor for the extreme-P corners.
+        low, high = wilson_interval(
             round(slow.p * EXECUTOR_REPS), EXECUTOR_REPS, 0.999
         )
-        fast_ci = wilson_interval(
-            round(fast.p * FASTPATH_REPS), FASTPATH_REPS, 0.999
-        )
-        tolerance = _half_width(*slow_ci) + _half_width(*fast_ci) + 0.01
-        assert fast.p == pytest.approx(slow.p, abs=tolerance)
+        assert low - 0.01 <= fast.p <= high + 0.01
 
-        # Timely-conditional E: only meaningful when both sides actually
-        # observed a healthy timely sample.  The stored intervals are at
-        # 95%; scale to ~99.9% (×1.7) and add a 1% relative floor.
-        if slow.energy_timely.count >= 100 and fast.energy_timely.count >= 100:
-            e_tolerance = 1.7 * (
-                _half_width(slow.energy_timely.low, slow.energy_timely.high)
-                + _half_width(fast.energy_timely.low, fast.energy_timely.high)
-            ) + 0.01 * abs(slow.e)
-            assert fast.e == pytest.approx(slow.e, abs=e_tolerance)
-        if slow.p == 0.0 and fast.p == 0.0:
-            assert math.isnan(slow.e) and math.isnan(fast.e)
+        # Means: only meaningful when the executor observed a healthy
+        # sample.  Its stored intervals are at 95%; scale to ~99.9%
+        # (×1.7) and add a 1% relative floor.
+        def agree(ours, theirs):
+            tolerance = 1.7 * _half_width(theirs.low, theirs.high)
+            assert ours == pytest.approx(
+                theirs.value, abs=tolerance + 0.01 * abs(theirs.value)
+            )
+
+        if slow.energy_timely.count >= 100:
+            agree(fast.e, slow.energy_timely)
+        agree(fast.energy_all.value, slow.energy_all)
+        if fast.p == 0.0:
+            assert math.isnan(fast.e) and slow.p == 0.0
 
     @pytest.mark.parametrize("task,scheme,frequency,seed", _draw_cases(3, seed=77))
     def test_parity_suite_is_reproducible(self, task, scheme, frequency, seed):
         """Same seeds ⇒ same numbers — the suite itself is deterministic."""
         policy = _POLICIES[scheme]
-        spec = static_cell_for_scheme(task, scheme, frequency)
         again = [
             (
                 estimate(task, partial(policy, frequency), reps=60, seed=seed),
-                simulate_static_cell(
-                    spec, reps=500, rng=RandomSource(seed).generator()
-                ),
+                _analytic(task, partial(policy, frequency), 500),
             )
             for _ in range(2)
         ]
@@ -135,11 +135,15 @@ class TestFaultFreeParity:
             fault_rate=0.0,
             costs=costs,
         )
-        spec = static_cell_for_scheme(task, "Poisson", frequency)
-        assert spec.interval_time == pytest.approx(task.cycles / frequency)
-        fast = simulate_static_cell(
-            spec, reps=50, rng=RandomSource(0).generator()
+        job = AnalyticCellJob(
+            task=task,
+            policy_factory=partial(PoissonArrivalPolicy, frequency),
+            reps=50,
         )
+        assert job.schedule().interval_lengths == [
+            pytest.approx(task.cycles / frequency)
+        ]
+        fast = BatchRunner.serial().run_cell(job)
         slow = estimate(
             task, partial(PoissonArrivalPolicy, frequency), reps=5, seed=0
         )
