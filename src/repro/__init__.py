@@ -22,167 +22,104 @@ Quickstart::
     print(f"P = {cell.p:.4f}, E = {cell.e:.0f}")
 
 See ``examples/`` and ``EXPERIMENTS.md`` for the full evaluation.
+
+Every public name resolves on first access (PEP 562), so ``import
+repro`` loads only the layers a caller uses: ``repro.TaskSpec`` loads
+the simulator, ``repro.ReproError`` does not.
 """
 
-from repro.core.checkpoints import CheckpointKind, CostModel
-from repro.core.dvs import SpeedLadder, estimated_completion_time
-from repro.core.intervals import (
-    checkpoint_interval,
-    deadline_interval,
-    k_fault_interval,
-    k_fault_threshold,
-    poisson_interval,
-    poisson_threshold,
-)
-from repro.core.optimizer import SubdivisionPlan, num_ccp, num_scp
-from repro.core.renewal import (
-    ccp_interval_time,
-    cscp_interval_time,
-    scp_interval_time,
-    scp_optimal_sublength,
-)
-from repro.core.schemes import (
-    AdaptiveCCPPolicy,
-    AdaptiveConfig,
-    AdaptiveDVSPolicy,
-    AdaptiveSCPPolicy,
-    CheckpointPolicy,
-    KFaultTolerantPolicy,
-    Plan,
-    PoissonArrivalPolicy,
-)
-from repro.errors import (
-    ConfigurationError,
-    InfeasibleError,
-    ParameterError,
-    ReproError,
-    SimulationError,
-)
-from repro.sim.backends import (
-    BACKEND_NAMES,
-    DistributedBackend,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.sim.distributed import Coordinator, LocalCluster, serve_worker
-from repro.sim.energy import EnergyAccount, EnergyModel
-from repro.sim.executor import RunResult, SimulationLimits, simulate_run
-from repro.sim.metrics import (
-    MeanEstimate,
-    MomentAccumulator,
-    ProportionEstimate,
-)
-from repro.sim.faults import (
-    BurstyFaults,
-    DualPoissonFaults,
-    FaultProcess,
-    FaultStream,
-    PoissonFaults,
-    ScriptedFaults,
-    WeibullFaults,
-)
-from repro.sim.montecarlo import (
-    CellAccumulator,
-    CellEstimate,
-    estimate,
-    run_many,
-    run_range,
-    summarize,
-)
-from repro.sim.parallel import DEFAULT_BLOCK_SIZE, BatchRunner, CellJob
-from repro.sim.rng import RandomSource
-from repro.sim.state import ExecutionState
-from repro.sim.task import TaskSpec
-from repro.sim.trace import Trace, TraceRecorder
-
-# The declarative study façade (imported last: it builds on the
-# experiment and simulation layers above).
-from repro.api import CellRecord, ResultSet, Session, Study, StudySpec
+from repro._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
+#: Defining module → the public names re-exported from it: the one list
+#: of this package's surface, ``__all__`` included.
+_EXPORTS = {
     # core formulas
-    "poisson_interval",
-    "k_fault_interval",
-    "deadline_interval",
-    "poisson_threshold",
-    "k_fault_threshold",
-    "checkpoint_interval",
-    "scp_interval_time",
-    "ccp_interval_time",
-    "cscp_interval_time",
-    "scp_optimal_sublength",
-    "num_scp",
-    "num_ccp",
-    "SubdivisionPlan",
-    "estimated_completion_time",
-    "SpeedLadder",
+    "repro.core.intervals": (
+        "poisson_interval",
+        "k_fault_interval",
+        "deadline_interval",
+        "poisson_threshold",
+        "k_fault_threshold",
+        "checkpoint_interval",
+    ),
+    "repro.core.renewal": (
+        "scp_interval_time",
+        "ccp_interval_time",
+        "cscp_interval_time",
+        "scp_optimal_sublength",
+    ),
+    "repro.core.optimizer": ("num_scp", "num_ccp", "SubdivisionPlan"),
+    "repro.core.dvs": ("estimated_completion_time", "SpeedLadder"),
     # checkpoint & task models
-    "CheckpointKind",
-    "CostModel",
-    "TaskSpec",
+    "repro.core.checkpoints": ("CheckpointKind", "CostModel"),
+    "repro.sim.task": ("TaskSpec",),
     # schemes
-    "CheckpointPolicy",
-    "Plan",
-    "PoissonArrivalPolicy",
-    "KFaultTolerantPolicy",
-    "AdaptiveDVSPolicy",
-    "AdaptiveSCPPolicy",
-    "AdaptiveCCPPolicy",
-    "AdaptiveConfig",
+    "repro.core.schemes": (
+        "CheckpointPolicy",
+        "Plan",
+        "PoissonArrivalPolicy",
+        "KFaultTolerantPolicy",
+        "AdaptiveDVSPolicy",
+        "AdaptiveSCPPolicy",
+        "AdaptiveCCPPolicy",
+        "AdaptiveConfig",
+    ),
     # simulation
-    "simulate_run",
-    "RunResult",
-    "SimulationLimits",
-    "ExecutionState",
-    "EnergyModel",
-    "EnergyAccount",
-    "FaultProcess",
-    "FaultStream",
-    "PoissonFaults",
-    "DualPoissonFaults",
-    "WeibullFaults",
-    "BurstyFaults",
-    "ScriptedFaults",
-    "Trace",
-    "TraceRecorder",
-    "RandomSource",
+    "repro.sim.executor": ("simulate_run", "RunResult", "SimulationLimits"),
+    "repro.sim.state": ("ExecutionState",),
+    "repro.sim.energy": ("EnergyModel", "EnergyAccount"),
+    "repro.sim.faults": (
+        "FaultProcess",
+        "FaultStream",
+        "PoissonFaults",
+        "DualPoissonFaults",
+        "WeibullFaults",
+        "BurstyFaults",
+        "ScriptedFaults",
+    ),
+    "repro.sim.trace": ("Trace", "TraceRecorder"),
+    "repro.sim.rng": ("RandomSource",),
     # Monte-Carlo harness
-    "estimate",
-    "run_many",
-    "run_range",
-    "summarize",
-    "CellEstimate",
-    "CellAccumulator",
-    "MomentAccumulator",
-    "MeanEstimate",
-    "ProportionEstimate",
-    "BatchRunner",
-    "CellJob",
-    "DEFAULT_BLOCK_SIZE",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "DistributedBackend",
-    "BACKEND_NAMES",
-    "make_backend",
-    "Coordinator",
-    "LocalCluster",
-    "serve_worker",
+    "repro.sim.montecarlo": (
+        "estimate",
+        "run_many",
+        "run_range",
+        "summarize",
+        "CellAccumulator",
+    ),
+    "repro.sim.metrics": (
+        "CellEstimate",
+        "MomentAccumulator",
+        "MeanEstimate",
+        "ProportionEstimate",
+    ),
+    "repro.sim.parallel": ("BatchRunner", "DEFAULT_BLOCK_SIZE"),
+    "repro.sim.backends": (
+        "CellJob",
+        "ExecutionBackend",
+        "SerialBackend",
+        "ProcessBackend",
+        "DistributedBackend",
+        "make_backend",
+    ),
+    "repro.choices": ("BACKEND_NAMES",),
+    "repro.sim.distributed": ("Coordinator", "LocalCluster", "serve_worker"),
     # declarative study façade
-    "Session",
-    "Study",
-    "StudySpec",
-    "ResultSet",
-    "CellRecord",
+    "repro.api.session": ("Session",),
+    "repro.api.study": ("Study",),
+    "repro.api.spec": ("StudySpec",),
+    "repro.api.results": ("ResultSet", "CellRecord"),
     # errors
-    "ReproError",
-    "ParameterError",
-    "InfeasibleError",
-    "SimulationError",
-    "ConfigurationError",
-    "__version__",
-]
+    "repro.errors": (
+        "ReproError",
+        "ParameterError",
+        "InfeasibleError",
+        "SimulationError",
+        "ConfigurationError",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -27,20 +27,21 @@ One import gives the whole pipeline::
 The legacy entrypoints (``run_table``, ``fixed_m_study``,
 ``utilization_sweep``, ``operating_map``, …) are thin shims over this
 façade and remain supported; estimates are bit-identical either way.
+
+Each name is imported from its module on first access, so
+``from repro.api import ResultSet`` loads no simulator.
 """
 
-from repro.api.plans import CellPlan
-from repro.api.results import CellRecord, ResultSet
-from repro.api.session import Session
-from repro.api.spec import STUDY_KINDS, StudySpec
-from repro.api.study import Study
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CellPlan",
-    "CellRecord",
-    "ResultSet",
-    "Session",
-    "Study",
-    "StudySpec",
-    "STUDY_KINDS",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "repro.api.plans": ("CellPlan",),
+        "repro.api.results": ("CellRecord", "ResultSet"),
+        "repro.api.session": ("Session",),
+        "repro.api.study": ("Study",),
+        "repro.api.spec": ("StudySpec",),
+        "repro.choices": ("STUDY_KINDS",),
+    },
+)

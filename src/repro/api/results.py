@@ -2,7 +2,7 @@
 
 A :class:`ResultSet` is the output of :meth:`repro.api.study.Study.run`:
 one :class:`CellRecord` per study cell, each carrying the full
-:class:`~repro.sim.montecarlo.CellEstimate` *and* its provenance — the
+:class:`~repro.sim.metrics.CellEstimate` *and* its provenance — the
 spec hash, the cell's derived seed, the block size (part of the
 determinism contract), the backend it ran on, ``git describe`` of the
 working tree, and the wall/compute seconds of the run that produced it.
@@ -12,7 +12,7 @@ shortest-repr float encoding, and NaN (the paper's own convention for
 the timely-energy mean of a cell with no timely run) is emitted as the
 JSON-extension ``NaN`` literal — ``from_json(to_json(rs))`` rebuilds
 estimates that are bit-identical under
-:meth:`~repro.sim.montecarlo.CellEstimate.same_values`
+:meth:`~repro.sim.metrics.CellEstimate.same_values`
 (``tests/test_resultset.py`` pins this with a property test).
 
 Merging is set-union over cell keys, gated on the spec hash: two
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.metrics import MeanEstimate, ProportionEstimate
-from repro.sim.montecarlo import CellEstimate
+from repro.sim.metrics import CellEstimate, MeanEstimate, ProportionEstimate
 
 __all__ = [
     "CellRecord",

@@ -47,39 +47,12 @@ from repro.api.plans import (
     taskset_cells,
     utilization_cells,
 )
+from repro.choices import KERNEL_NAMES, KIND_SUMMARIES, STUDY_KINDS
 from repro.errors import ConfigurationError
 from repro.experiments.config import TableSpec, table_spec
 from repro.rts.generators import WORKLOAD_PATTERNS
 
 __all__ = ["StudySpec", "STUDY_KINDS", "KIND_SUMMARIES"]
-
-#: The study kinds the façade understands, each mirroring one legacy
-#: experiment entrypoint (see module docstring).
-STUDY_KINDS = (
-    "table",
-    "row",
-    "fixed_m",
-    "rate_factor",
-    "utilization",
-    "operating_map",
-    "taskset",
-    "frontier",
-)
-
-#: One-line description per kind.  The single source both the CLI help
-#: (``repro run --list-kinds``) and error text derive from, so a new
-#: kind cannot drift out of the docs.  Keys mirror :data:`STUDY_KINDS`
-#: exactly (pinned by a test).
-KIND_SUMMARIES = {
-    "table": "a published table's full scheme × row grid",
-    "row": "one (U, lam) row of a published table",
-    "fixed_m": "fixed-subdivision ablation at one task point",
-    "rate_factor": "analysis-rate sensitivity at one task point",
-    "utilization": "scheme comparison across a utilization grid",
-    "operating_map": "best-scheme map over a (U, lam) grid",
-    "taskset": "generated multi-task workloads under EDF/RM",
-    "frontier": "energy/time Pareto sweep over (f, n) checkpoints",
-}
 
 #: Per-kind (reps, seed) defaults — the legacy entrypoints' own.
 _KIND_DEFAULTS = {
@@ -316,7 +289,7 @@ class StudySpec:
                 raise ConfigurationError(
                     f"{name} must be a boolean, got {getattr(self, name)!r}"
                 )
-        if self.kernel not in ("exact", "fast"):
+        if self.kernel not in KERNEL_NAMES:
             raise ConfigurationError(
                 f"kernel must be 'exact' or 'fast', got {self.kernel!r}"
             )

@@ -29,6 +29,9 @@ alone, still implies ``--backend process`` for compatibility),
 ``--cluster-workers N`` spawns loopback worker subprocesses for the
 distributed backend.  Results are bit-identical across backends for a
 fixed ``--chunk-size``.
+
+Building the parser loads no numpy: each handler imports what it uses,
+so ``list``, ``submit``, ``cache`` and every ``--help`` start fast.
 """
 
 from __future__ import annotations
@@ -39,30 +42,9 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.core.schemes import (
-    AdaptiveCCPPolicy,
-    AdaptiveDVSPolicy,
-    AdaptiveSCPPolicy,
-    KFaultTolerantPolicy,
-    PoissonArrivalPolicy,
-)
-from repro.api.spec import KIND_SUMMARIES, STUDY_KINDS
+from repro.choices import BACKEND_NAMES, KERNEL_NAMES, KIND_SUMMARIES, STUDY_KINDS
 from repro.errors import ReproError
-from repro.experiments.config import (
-    ExecutionSettings,
-    all_table_specs,
-    table_spec,
-)
-from repro.sim.backends import BACKEND_NAMES
-from repro.experiments.paper_data import TABLE_IDS
-from repro.experiments.report import format_table, markdown_table, shape_checks
-from repro.experiments.tables import run_table
-from repro.sim.energy import EnergyModel
-from repro.sim.executor import simulate_run
-from repro.sim.faults import PoissonFaults
-from repro.sim.rng import RandomSource
-from repro.sim.task import TaskSpec
-from repro.sim.trace import Trace
+from repro.experiments.paper_data import TABLE_IDS, TABLE_TITLES
 
 __all__ = ["main", "build_parser"]
 
@@ -593,7 +575,7 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=["exact", "fast"],
+        choices=list(KERNEL_NAMES),
         default=None,
         help=(
             "executor kernel: 'exact' (default) is the per-rep engine, "
@@ -642,7 +624,7 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--straggler-factor",
-        type=float,
+        type=_nonneg_float,
         default=None,
         metavar="X",
         help=(
@@ -662,6 +644,8 @@ def _make_runner(args: argparse.Namespace) -> Optional["BatchRunner"]:
     :class:`~repro.errors.ConfigurationError`, which ``main`` reports
     as exit code 2 like every other configuration problem.
     """
+    from repro.experiments.config import ExecutionSettings
+
     return ExecutionSettings.from_cli_args(args).make_runner()
 
 
@@ -702,6 +686,7 @@ def _run_study(args: argparse.Namespace, study):
 
     from repro.api import Session
     from repro.errors import ConfigurationError
+    from repro.experiments.config import ExecutionSettings
 
     out = getattr(args, "out", None)
     if out:
@@ -722,6 +707,7 @@ def _run_study(args: argparse.Namespace, study):
 
 def _table_result_from(study, results):
     """A rendered-table view of a table-kind study's ResultSet."""
+    from repro.experiments.config import table_spec
     from repro.experiments.tables import assemble_table_result
 
     tspec = study.table if study.table is not None else table_spec(study.spec.table)
@@ -734,6 +720,14 @@ def _table_result_from(study, results):
 
 
 def _demo_policy(scheme: str):
+    from repro.core.schemes import (
+        AdaptiveCCPPolicy,
+        AdaptiveDVSPolicy,
+        AdaptiveSCPPolicy,
+        KFaultTolerantPolicy,
+        PoissonArrivalPolicy,
+    )
+
     if scheme == "Poisson":
         return PoissonArrivalPolicy(1.0)
     if scheme == "k-f-t":
@@ -747,6 +741,7 @@ def _demo_policy(scheme: str):
 
 def _cmd_table(args: argparse.Namespace) -> int:
     from repro.api import Study, StudySpec
+    from repro.experiments.report import format_table, markdown_table
 
     study = Study(
         StudySpec(
@@ -794,6 +789,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.experiments.config import all_table_specs
+    from repro.experiments.report import shape_checks
+    from repro.experiments.tables import run_table
+
     failures: List[str] = []
     runner = _make_runner(args)
     try:
@@ -819,6 +818,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.checkpoints import CostModel
+    from repro.sim.energy import EnergyModel
+    from repro.sim.executor import simulate_run
+    from repro.sim.faults import PoissonFaults
+    from repro.sim.rng import RandomSource
+    from repro.sim.task import TaskSpec
+    from repro.sim.trace import Trace
 
     costs = (
         CostModel.ccp_favourable()
@@ -855,6 +860,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.config import table_spec
     from repro.experiments.sensitivity import (
         assemble_operating_points,
         cost_ratio_frontier,
@@ -933,8 +939,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.api import Study
-
     if args.list_kinds:
         width = max(len(kind) for kind in STUDY_KINDS)
         for kind in STUDY_KINDS:
@@ -946,6 +950,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # Only now: --list-kinds and the usage error above load no numpy.
+    from repro.api import Study
+    from repro.experiments.config import table_spec
+    from repro.experiments.report import format_table
+
     study = Study.from_file(args.spec)
     results, reused = _run_study(args, study)
     computed = len(results) - reused
@@ -1108,8 +1117,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.experiments.config import ExecutionSettings
     from repro.service import serve_forever
-    from repro.service.server import DEFAULT_URL
+    from repro.service.client import DEFAULT_URL
 
     url = args.serve_url if args.serve_url is not None else DEFAULT_URL
     # The daemon has defensive defaults; an explicit 0 disables a knob
@@ -1133,11 +1143,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import os
 
-    from repro.api import ResultSet
-    from repro.api.results import json_loads_exact
+    from repro.api.results import ResultSet, json_loads_exact
     from repro.errors import ConfigurationError
-    from repro.service import submit_study
-    from repro.service.server import DEFAULT_URL
+    from repro.service.client import DEFAULT_URL, submit_study
 
     if args.out:
         directory = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -1188,8 +1196,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    for spec in all_table_specs():
-        print(f"{spec.table_id}: {spec.title}")
+    for table_id in TABLE_IDS:
+        print(f"{table_id}: {TABLE_TITLES[table_id]}")
     return 0
 
 

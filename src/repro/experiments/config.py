@@ -13,6 +13,7 @@ Common parameters (paper §4): ``D = 10000``, ``c = 22``, ``t_r = 0``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -27,6 +28,7 @@ from repro.core.schemes import (
     KFaultTolerantPolicy,
     PoissonArrivalPolicy,
 )
+from repro.choices import BACKEND_NAMES, KERNEL_NAMES
 from repro.errors import ConfigurationError
 from repro.experiments import paper_data
 from repro.sim.backends import AnalyticCellJob, CellJob, DistributedBackend
@@ -119,9 +121,6 @@ class ExecutionSettings:
     straggler_factor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        from repro.sim.backends import BACKEND_NAMES
-        from repro.sim.kernel import KERNEL_NAMES
-
         if self.kernel not in KERNEL_NAMES:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; valid names: "
@@ -186,14 +185,15 @@ class ExecutionSettings:
                 "--tls-key (serving TLS needs a certificate; the CA only "
                 "adds mutual-TLS client verification)"
             )
-        if self.connect_timeout is not None and self.connect_timeout <= 0:
+        timeout, factor = self.connect_timeout, self.straggler_factor
+        if timeout is not None and not 0 < timeout < math.inf:
             raise ConfigurationError(
-                f"connect_timeout must be > 0, got {self.connect_timeout}"
+                f"connect_timeout must be a finite value > 0, got {timeout}"
             )
-        if self.straggler_factor is not None and self.straggler_factor < 0:
+        if factor is not None and not 0 <= factor < math.inf:
             raise ConfigurationError(
-                f"straggler_factor must be >= 0 (0 disables speculation), "
-                f"got {self.straggler_factor}"
+                f"straggler_factor must be a finite value >= 0 (0 disables "
+                f"speculation), got {factor}"
             )
 
     @classmethod
@@ -388,10 +388,7 @@ def _build_specs() -> Dict[str, TableSpec]:
     specs = [
         TableSpec(
             table_id="1a",
-            title=(
-                "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=5 "
-                "(paper Tab. 1a)"
-            ),
+            title=paper_data.TABLE_TITLES["1a"],
             costs=scp_costs,
             fault_budget=5,
             static_frequency=1.0,
@@ -401,10 +398,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="1b",
-            title=(
-                "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=1 "
-                "(paper Tab. 1b)"
-            ),
+            title=paper_data.TABLE_TITLES["1b"],
             costs=scp_costs,
             fault_budget=1,
             static_frequency=1.0,
@@ -414,10 +408,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="2a",
-            title=(
-                "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=5 "
-                "(paper Tab. 2a)"
-            ),
+            title=paper_data.TABLE_TITLES["2a"],
             costs=scp_costs,
             fault_budget=5,
             static_frequency=2.0,
@@ -427,10 +418,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="2b",
-            title=(
-                "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=1 "
-                "(paper Tab. 2b)"
-            ),
+            title=paper_data.TABLE_TITLES["2b"],
             costs=scp_costs,
             fault_budget=1,
             static_frequency=2.0,
@@ -440,10 +428,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="3a",
-            title=(
-                "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=5 "
-                "(paper Tab. 3a)"
-            ),
+            title=paper_data.TABLE_TITLES["3a"],
             costs=ccp_costs,
             fault_budget=5,
             static_frequency=1.0,
@@ -453,10 +438,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="3b",
-            title=(
-                "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=1 "
-                "(paper Tab. 3b)"
-            ),
+            title=paper_data.TABLE_TITLES["3b"],
             costs=ccp_costs,
             fault_budget=1,
             static_frequency=1.0,
@@ -466,10 +448,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="4a",
-            title=(
-                "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=5 "
-                "(paper Tab. 4a)"
-            ),
+            title=paper_data.TABLE_TITLES["4a"],
             costs=ccp_costs,
             fault_budget=5,
             static_frequency=2.0,
@@ -479,10 +458,7 @@ def _build_specs() -> Dict[str, TableSpec]:
         ),
         TableSpec(
             table_id="4b",
-            title=(
-                "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=1 "
-                "(paper Tab. 4b)"
-            ),
+            title=paper_data.TABLE_TITLES["4b"],
             costs=ccp_costs,
             fault_budget=1,
             static_frequency=2.0,

@@ -21,11 +21,31 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = ["PaperCell", "paper_cell", "paper_rows", "paper_schemes", "TABLE_IDS"]
+__all__ = [
+    "PaperCell",
+    "paper_cell",
+    "paper_rows",
+    "paper_schemes",
+    "TABLE_IDS",
+    "TABLE_TITLES",
+]
 
 NAN = math.nan
 
 TABLE_IDS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b")
+
+#: One title per table (``repro list``, :class:`~repro.experiments.
+#: config.TableSpec`): the adaptive scheme, the baselines' speed, ``k``.
+TABLE_TITLES = {
+    "1a": "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=5 (paper Tab. 1a)",
+    "1b": "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=1 (paper Tab. 1b)",
+    "2a": "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=5 (paper Tab. 2a)",
+    "2b": "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=1 (paper Tab. 2b)",
+    "3a": "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=5 (paper Tab. 3a)",
+    "3b": "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=1 (paper Tab. 3b)",
+    "4a": "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=5 (paper Tab. 4a)",
+    "4b": "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=1 (paper Tab. 4b)",
+}
 
 #: Schemes in column order, per table family.
 _SCP_SCHEMES = ("Poisson", "k-f-t", "A_D", "A_D_S")

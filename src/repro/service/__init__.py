@@ -16,18 +16,18 @@ are cache hits served verbatim.
   scheduler and cache; :func:`serve_forever` wraps it in a threaded
   HTTP server.
 * :func:`submit_study` — the client half (``repro submit``).
+
+Each name is imported from its module on first access, so the client
+half loads neither the server nor numpy.
 """
 
-from repro.service.cache import CellCache
-from repro.service.client import fetch_stats, submit_study, wait_until_ready
-from repro.service.server import StudyService, make_server, serve_forever
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CellCache",
-    "StudyService",
-    "make_server",
-    "serve_forever",
-    "submit_study",
-    "fetch_stats",
-    "wait_until_ready",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "repro.service.cache": ("CellCache",),
+        "repro.service.server": ("StudyService", "make_server", "serve_forever"),
+        "repro.service.client": ("submit_study", "fetch_stats", "wait_until_ready"),
+    },
+)

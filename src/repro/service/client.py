@@ -24,7 +24,10 @@ from repro.errors import (
     SimulationError,
 )
 
-__all__ = ["submit_study", "fetch_stats", "wait_until_ready"]
+__all__ = ["submit_study", "fetch_stats", "wait_until_ready", "DEFAULT_URL"]
+
+#: Where ``repro serve`` binds and ``repro submit`` connects without a URL.
+DEFAULT_URL = "http://127.0.0.1:8750"
 
 #: Per-request ceiling; a submission holds the connection open while
 #: the service computes, so this bounds one whole study, not one RTT.

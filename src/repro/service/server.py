@@ -45,6 +45,7 @@ from repro.api.study import Study
 from repro.errors import ConfigurationError, ReproError, ServiceUnavailableError
 from repro.experiments.config import ExecutionSettings
 from repro.service.cache import CellCache
+from repro.service.client import DEFAULT_URL
 
 __all__ = [
     "StudyService",
@@ -56,9 +57,6 @@ __all__ = [
     "DEFAULT_FAIR_SHARE",
     "DEFAULT_REQUEST_TIMEOUT",
 ]
-
-#: Where ``repro serve`` binds without ``--url``.
-DEFAULT_URL = "http://127.0.0.1:8750"
 
 #: Submission body cap — a StudySpec is a few hundred bytes; anything
 #: megabytes-long is a mistake or abuse, rejected before parsing.

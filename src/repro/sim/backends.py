@@ -56,6 +56,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.choices import BACKEND_NAMES, KERNEL_NAMES
 from repro.core.analysis import StaticSchedule, static_outcome, static_schedule
 from repro.errors import ConfigurationError, ParameterError, SimulationError
 from repro.sim.energy import EnergyModel
@@ -87,9 +88,6 @@ __all__ = [
     "plan_blocks",
     "default_workers",
 ]
-
-#: The backend names the string selector accepts (CLI ``--backend``).
-BACKEND_NAMES = ("serial", "process", "distributed")
 
 #: Target wall-clock per dispatched batch for latency-adaptive
 #: batching: long enough to amortise per-message overhead on cheap
@@ -129,7 +127,7 @@ class CellJob:
     def __post_init__(self) -> None:
         if self.reps <= 0:
             raise ParameterError(f"reps must be > 0, got {self.reps}")
-        if self.kernel not in ("exact", "fast"):
+        if self.kernel not in KERNEL_NAMES:
             raise ParameterError(
                 f"kernel must be 'exact' or 'fast', got {self.kernel!r}"
             )

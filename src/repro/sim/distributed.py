@@ -65,6 +65,7 @@ over locally) is ignored instead of polluting the next one.
 from __future__ import annotations
 
 import hmac
+import math
 import os
 import pickle
 import secrets as _secrets
@@ -535,18 +536,19 @@ class Coordinator:
             raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
         if max_retries < 1:
             raise ParameterError(f"max_retries must be >= 1, got {max_retries}")
-        if wait_timeout <= 0:
+        if not 0 < wait_timeout < math.inf:
             raise ParameterError(
-                f"wait_timeout must be > 0, got {wait_timeout}"
+                f"wait_timeout must be a finite value > 0, got {wait_timeout}"
             )
-        if straggler_factor is not None and straggler_factor <= 0:
+        if straggler_factor is not None and not 0 < straggler_factor < math.inf:
             raise ParameterError(
-                f"straggler_factor must be > 0 (or None to disable "
-                f"speculation), got {straggler_factor}"
+                f"straggler_factor must be a finite value > 0 (or None to "
+                f"disable speculation), got {straggler_factor}"
             )
-        if straggler_grace <= 0:
+        if not 0 < straggler_grace < math.inf:
             raise ParameterError(
-                f"straggler_grace must be > 0, got {straggler_grace}"
+                f"straggler_grace must be a finite value > 0, got "
+                f"{straggler_grace}"
             )
         self.batch_size = int(batch_size)
         self.max_retries = int(max_retries)
@@ -1085,9 +1087,10 @@ class LocalCluster:
             raise ParameterError(
                 f"respawn_poll must be > 0, got {respawn_poll}"
             )
-        if connect_timeout is not None and connect_timeout <= 0:
+        if connect_timeout is not None and not 0 < connect_timeout < math.inf:
             raise ParameterError(
-                f"connect_timeout must be > 0, got {connect_timeout}"
+                f"connect_timeout must be a finite value > 0, got "
+                f"{connect_timeout}"
             )
         self.size = int(workers)
         self.idle_timeout = float(idle_timeout)

@@ -61,6 +61,7 @@ from repro.core.schemes import (
     _StaticPolicy,
     replan_table_for,
 )
+from repro.choices import KERNEL_NAMES
 from repro.errors import ParameterError, SimulationError
 from repro.sim.energy import EnergyModel
 from repro.sim.executor import (
@@ -86,9 +87,6 @@ __all__ = [
     "accumulate_range_fast",
     "kernel_supported",
 ]
-
-#: The kernel modes ``ExecutionSettings.kernel`` accepts.
-KERNEL_NAMES = ("exact", "fast")
 
 #: Safety bound on fault-classification rounds within one interval
 #: (each round advances at least one rep's probe cursor by one fault).

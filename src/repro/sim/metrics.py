@@ -4,7 +4,9 @@ The paper reports two numbers per cell: ``P`` (fraction of 10,000 runs
 completing by the deadline) and ``E`` (mean energy — of the timely runs,
 as evidenced by the ``NaN`` entries at ``P = 0``).  This module adds the
 uncertainty quantification a reproduction needs: Wilson score intervals
-for proportions and normal-approximation intervals for means.
+for proportions and normal-approximation intervals for means, gathered
+per cell in a :class:`CellEstimate`.  Only the array branches import
+numpy, so a saved estimate loads without it.
 
 For sharded execution (:mod:`repro.sim.parallel` and the backends in
 :mod:`repro.sim.backends`) it provides *mergeable accumulators* whose
@@ -50,16 +52,16 @@ error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ParameterError
 
 __all__ = [
     "wilson_interval",
     "mean_interval",
+    "CellEstimate",
     "ProportionEstimate",
     "MeanEstimate",
     "ProportionAccumulator",
@@ -102,6 +104,17 @@ def mean_interval(
     """
     estimate = MomentAccumulator(values).estimate(confidence)
     return (estimate.low, estimate.high)
+
+
+def _is_ndarray(values: object) -> bool:
+    """``isinstance(values, numpy.ndarray)`` without importing numpy.
+
+    Exact, not a heuristic: no array can exist before numpy has been
+    imported, and the numpy-free result path (``repro submit``) must
+    not pay for the import.
+    """
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(values, numpy.ndarray)
 
 
 def _z_value(confidence: float) -> float:
@@ -273,6 +286,42 @@ class MeanEstimate:
             raise ParameterError(f"count must be >= 0, got {self.count}")
 
 
+@dataclass(frozen=True)
+class CellEstimate:
+    """Aggregated outcome of one Monte-Carlo cell."""
+
+    p_timely: ProportionEstimate
+    energy_timely: MeanEstimate
+    energy_all: MeanEstimate
+    mean_finish_time_timely: float
+    mean_detected_faults: float
+    mean_checkpoints: float
+    mean_sub_checkpoints: float
+    reps: int
+
+    @property
+    def p(self) -> float:
+        """``P`` — the paper's probability of timely completion."""
+        return self.p_timely.value
+
+    @property
+    def e(self) -> float:
+        """``E`` — the paper's energy (mean over timely runs; NaN if none)."""
+        return self.energy_timely.value
+
+    def same_values(self, other: "CellEstimate") -> bool:
+        """Field-for-field identity, treating NaN as equal to NaN.
+
+        Dataclass ``==`` happens to hold for NaN-bearing estimates in
+        CPython (every NaN here is the ``math.nan`` singleton, and
+        tuple comparison short-circuits on identity), but that is an
+        implementation accident.  Determinism checks should use this:
+        ``repr`` round-trips floats exactly and spells every NaN
+        ``nan``, so repr equality is value identity with NaN == NaN.
+        """
+        return repr(self) == repr(other)
+
+
 class ProportionAccumulator:
     """Mergeable success/trial counter finalising to a Wilson estimate.
 
@@ -303,7 +352,9 @@ class ProportionAccumulator:
         through.
         """
         self.trials += len(successes)
-        if isinstance(successes, np.ndarray):
+        if _is_ndarray(successes):
+            import numpy as np
+
             self.successes += int(np.count_nonzero(successes))
         else:
             self.successes += sum(1 for s in successes if s)
@@ -370,7 +421,7 @@ class MomentAccumulator:
         order, so ``add`` and ``add_many`` are bit-identical per
         element (pinned by ``tests/test_metrics.py``).
         """
-        if isinstance(values, np.ndarray) and values.ndim == 1:
+        if _is_ndarray(values) and values.ndim == 1:
             return self._add_array(values)
         count = 0
         s_hi, s_lo = self._sum_hi, self._sum_lo
@@ -403,7 +454,7 @@ class MomentAccumulator:
         self._sq_hi, self._sq_lo = q_hi, q_lo
         return self
 
-    def _add_array(self, values: np.ndarray) -> "MomentAccumulator":
+    def _add_array(self, values) -> "MomentAccumulator":
         """NumPy block path: vectorised Dekker products, scalar fold.
 
         ``x²`` and its exact rounding error are elementwise (no
@@ -412,6 +463,8 @@ class MomentAccumulator:
         the double-double accumulation itself is order-dependent and
         stays a left-to-right fold over Python floats.
         """
+        import numpy as np
+
         arr = np.asarray(values, dtype=np.float64)
         n = int(arr.size)
         if n == 0:

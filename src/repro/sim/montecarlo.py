@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 import numpy as np
 
+from repro.choices import KERNEL_NAMES
 from repro.errors import ParameterError
 from repro.sim.energy import EnergyModel
 from repro.sim.executor import (
@@ -39,6 +40,7 @@ from repro.sim.executor import (
 )
 from repro.sim.faults import FaultProcess, PoissonFaults
 from repro.sim.metrics import (
+    CellEstimate,
     MeanEstimate,
     MomentAccumulator,
     ProportionAccumulator,
@@ -63,42 +65,6 @@ __all__ = [
 ]
 
 PolicyFactory = Callable[[], "CheckpointPolicy"]
-
-
-@dataclass(frozen=True)
-class CellEstimate:
-    """Aggregated outcome of one Monte-Carlo cell."""
-
-    p_timely: ProportionEstimate
-    energy_timely: MeanEstimate
-    energy_all: MeanEstimate
-    mean_finish_time_timely: float
-    mean_detected_faults: float
-    mean_checkpoints: float
-    mean_sub_checkpoints: float
-    reps: int
-
-    @property
-    def p(self) -> float:
-        """``P`` — the paper's probability of timely completion."""
-        return self.p_timely.value
-
-    @property
-    def e(self) -> float:
-        """``E`` — the paper's energy (mean over timely runs; NaN if none)."""
-        return self.energy_timely.value
-
-    def same_values(self, other: "CellEstimate") -> bool:
-        """Field-for-field identity, treating NaN as equal to NaN.
-
-        Dataclass ``==`` happens to hold for NaN-bearing estimates in
-        CPython (every NaN here is the ``math.nan`` singleton, and
-        tuple comparison short-circuits on identity), but that is an
-        implementation accident.  Determinism checks should use this:
-        ``repr`` round-trips floats exactly and spells every NaN
-        ``nan``, so repr equality is value identity with NaN == NaN.
-        """
-        return repr(self) == repr(other)
 
 
 def run_many(
@@ -472,7 +438,7 @@ def accumulate_range(
     (:func:`repro.sim.kernel.accumulate_range_fast`), which falls back
     here per block for unsupported cells.
     """
-    if kernel not in ("exact", "fast"):
+    if kernel not in KERNEL_NAMES:
         raise ParameterError(
             f"kernel must be 'exact' or 'fast', got {kernel!r}"
         )

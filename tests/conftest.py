@@ -2,11 +2,46 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+from typing import Dict
+
 import pytest
 
 from repro.core.checkpoints import CheckpointKind, CostModel
 from repro.core.schemes import CheckpointPolicy, Plan
 from repro.sim.task import TaskSpec
+
+#: A ``sitecustomize`` that makes every ``import numpy`` fail: put first
+#: on ``PYTHONPATH``, it proves a command never loads numpy.
+NUMPY_BLOCKER = """\
+import sys
+
+
+class _BlockNumPy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, _BlockNumPy())
+"""
+
+
+def repro_env(*paths: str) -> Dict[str, str]:
+    """``os.environ`` with ``paths``, then this checkout's ``src``,
+    first on ``PYTHONPATH`` (for ``python -m repro`` subprocesses)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [*paths, src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture
+def numpy_blocked_env(tmp_path_factory) -> Dict[str, str]:
+    """A subprocess environment in which ``import numpy`` fails."""
+    blocker = tmp_path_factory.mktemp("nonumpy")
+    (blocker / "sitecustomize.py").write_text(NUMPY_BLOCKER)
+    return repro_env(str(blocker))
 
 
 class FixedPlanPolicy(CheckpointPolicy):

@@ -26,9 +26,12 @@ class TestParser:
 
 class TestCommands:
     def test_list(self, capsys):
+        from repro.experiments.config import all_table_specs
+
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "1a" in out and "4b" in out
+        assert capsys.readouterr().out.splitlines() == [
+            f"{spec.table_id}: {spec.title}" for spec in all_table_specs()
+        ]
 
     def test_table_text(self, capsys):
         assert main(["table", "2b", "--reps", "25", "--seed", "1"]) == 0
@@ -434,6 +437,17 @@ class TestBackendFlag:
             ["table", "1a", "--backend", "distributed", "--workers", "4"]
         ) == 2
         assert main(["table", "1a", "--cluster-workers", "2"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "soon"])
+    def test_rejects_non_finite_straggler_factor(self, bad):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["table", "1a", "--backend", "distributed",
+                 "--straggler-factor", bad]
+            )
+        assert build_parser().parse_args(
+            ["table", "1a", "--straggler-factor", "0"]
+        ).straggler_factor == 0.0
 
     def test_accepted_on_validate_and_sweep(self):
         assert build_parser().parse_args(

@@ -210,6 +210,10 @@ class TestExecutionSettings:
             dict(backend="distributed", tls_ca="ca.pem"),
             dict(backend="distributed", connect_timeout=0),
             dict(backend="distributed", straggler_factor=-1),
+            dict(backend="distributed", connect_timeout=float("nan")),
+            dict(backend="distributed", connect_timeout=float("inf")),
+            dict(backend="distributed", straggler_factor=float("nan")),
+            dict(backend="distributed", straggler_factor=float("inf")),
         ],
     )
     def test_contradictions_rejected(self, kwargs):

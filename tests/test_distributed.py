@@ -154,11 +154,26 @@ class TestCoordinatorLifecycle:
         with pytest.raises(ParameterError):
             Coordinator("tcp://127.0.0.1:0", max_retries=0)
 
+    @pytest.mark.parametrize(
+        "knob", ["wait_timeout", "straggler_factor", "straggler_grace"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_rejects_non_finite_timing_knobs(self, knob, bad):
+        # A NaN speculation threshold re-dispatches every task in
+        # flight; a NaN or inf wait spins or overflows the clock.
+        with pytest.raises(ParameterError, match=knob):
+            Coordinator("tcp://127.0.0.1:0", **{knob: bad})
+
 
 class TestLocalCluster:
     def test_validates_worker_count(self):
         with pytest.raises(ParameterError):
             LocalCluster(-1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_rejects_non_finite_connect_timeout(self, bad):
+        with pytest.raises(ParameterError, match="connect_timeout"):
+            LocalCluster(1, connect_timeout=bad)
 
     def test_validates_max_tasks_length(self):
         with pytest.raises(ParameterError):

@@ -15,6 +15,8 @@ The correctness wall this suite pins, layer by layer:
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -415,6 +417,23 @@ class TestSubmitCommand:
         assert saved.same_values(Study(ROW_SPEC).run())
         header = csv.read_text().splitlines()[0]
         assert "kernel" in header.split(",")
+
+    def test_submit_loads_no_numpy(self, tmp_path, service_url, numpy_blocked_env):
+        # A submission only posts and writes JSON: with numpy blocked it
+        # still saves the service's answer, value for value.
+        spec_path = tmp_path / "row.spec.json"
+        spec_path.write_text(json.dumps(ROW_SPEC))
+        out = tmp_path / "blocked.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "submit", str(spec_path),
+             "--url", service_url, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=numpy_blocked_env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ResultSet.load(str(out)).same_values(Study(ROW_SPEC).run())
 
     def test_submit_against_nothing_exits_2(self, tmp_path, capsys):
         from repro.cli import main
