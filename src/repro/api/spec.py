@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +49,7 @@ from repro.api.plans import (
     utilization_cells,
 )
 from repro.choices import KERNEL_NAMES, KIND_SUMMARIES, STUDY_KINDS
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ParameterError
 from repro.experiments.config import TableSpec, table_spec
 from repro.rts.generators import WORKLOAD_PATTERNS
 
@@ -117,7 +118,7 @@ def _is_int(value) -> bool:
 
 
 def _coerce(value, kind):
-    """``value`` as an exact int/float, or raise (never truncate).
+    """``value`` as an exact int/finite float, or raise (never truncate).
 
     A seed of ``1.5`` silently truncated to ``1`` would compute the
     estimates of seed 1 under a different spec hash — refuse instead.
@@ -128,7 +129,13 @@ def _coerce(value, kind):
         if isinstance(value, float):
             raise ConfigurationError(f"not an integer: {value!r}")
         return value
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"not a finite number: {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -406,8 +413,19 @@ class StudySpec:
         ``table`` substitutes a custom :class:`TableSpec` for the
         registry lookup — the hook :class:`~repro.api.study.Study` uses
         so legacy callers holding a bespoke spec object still flow
-        through the canonical expansion.
+        through the canonical expansion.  A value the model rejects
+        (``lam < 0``, a rate that overflows the cell seed label) raises
+        :class:`~repro.errors.ConfigurationError` naming the spec.
         """
+        try:
+            return self._expand(table)
+        except (ParameterError, OverflowError) as exc:
+            raise ConfigurationError(
+                f"{self.kind} study {self.spec_hash} cannot expand its "
+                f"cells: {exc}"
+            ) from exc
+
+    def _expand(self, table: Optional[TableSpec]) -> List[CellPlan]:
         spec = self.resolved()
         tspec = table if table is not None else spec.resolve_table()
         if spec.kind == "table":

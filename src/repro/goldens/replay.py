@@ -4,18 +4,20 @@ One engine serves both trace kinds; :func:`replay` picks the kind from
 the header's ``format`` tag.
 
 Executor traces (``repro.golden-trace/1``): :func:`record_golden` runs
-a scenario through the *reference* executor loop and streams every
-trace callback (plus the final ``result`` summary) to a JSONL golden
-file.  :func:`replay` re-executes the scenario against the current
+a scenario through :func:`~repro.sim.executor.simulate_run` with the
+golden writer as its recorder and streams every trace callback (plus
+the final ``result`` summary) to a JSONL golden file.  :func:`replay` re-executes the scenario against the current
 tree with a :class:`DivergenceRecorder` that compares events online:
 the moment a callback disagrees with the golden — in kind or in any
 bit of any float — the run halts and the :class:`DriftReport` names
 the inflection point (event index, kind, expected-vs-actual fields)
 with the surrounding events and a rendered timeline excerpt, instead
-of the bare "bit-identity failed" an end-of-run byte-diff gives.  A
-replay that matches event-for-event additionally re-runs the fused
-Monte-Carlo fast loop (:func:`~repro.sim.executor.execute_once`) and
-checks its outcome against the golden's ``result`` record.
+of the bare "bit-identity failed" an end-of-run byte-diff gives.  The
+recorded run goes through the executor's one interval loop, the loop
+every Monte-Carlo cell runs.  A replay that matches event-for-event
+additionally re-runs the scenario unrecorded through
+:func:`~repro.sim.executor.execute_once` (the slab path's entry point)
+and checks its outcome against the golden's ``result`` record.
 
 Taskset traces (``repro.taskset-trace/1``,
 :mod:`repro.goldens.taskset`): :func:`record_taskset_golden` records
@@ -117,7 +119,7 @@ def _outcome_payload(outcome: RunOutcome) -> Dict[str, object]:
 
 
 def record_golden(scen: GoldenScenario, directory: str) -> str:
-    """Run ``scen`` through the reference loop; write its golden file.
+    """Run ``scen`` with the golden writer recording; write the file.
 
     Returns the written path (``<directory>/<name>.jsonl``).  The run
     and the recording happen in one pass — the writer *is* the trace
@@ -334,9 +336,9 @@ class DriftReport:
     events_total: int  #: events in the golden (incl. the result record)
     events_matched: int  #: events confirmed identical before the end/halt
     divergence: Optional[Divergence]
-    #: Field diffs of the fused fast loop vs the golden result record
-    #: (None = identical or not checked because the traced replay
-    #: already diverged).
+    #: Field diffs of the unrecorded execute_once run vs the golden
+    #: result record (None = identical, or not checked because the
+    #: recorded replay already diverged).
     fast_diffs: Optional[List[Tuple[str, object, object]]]
     recorded_git: Optional[str]
     current_git: Optional[str]
@@ -356,7 +358,7 @@ class DriftReport:
         ]
         if self.ok:
             checked = (
-                "fast loop matches the result record"
+                "execute_once matches the result record"
                 if self.format == FORMAT
                 else "header selection matches"
             )
@@ -396,8 +398,8 @@ class DriftReport:
                 )
         if self.fast_diffs:
             lines.append(
-                "  FAST-PATH DRIFT: traced reference loop matches the "
-                "golden, but the fused fast loop differs:"
+                "  FAST-PATH DRIFT: the recorded run matches the golden, "
+                "the unrecorded `execute_once` run differs:"
             )
             for field, expected, actual in self.fast_diffs:
                 lines.append(
@@ -435,8 +437,8 @@ def replay(path: str) -> DriftReport:
 def _replay_run(
     path: str, header: TraceHeader, events: List[TraceEvent]
 ) -> DriftReport:
-    """Replay an executor trace through the traced reference loop,
-    comparing online, then check the fused fast loop's outcome."""
+    """Replay an executor trace with a comparing recorder attached,
+    online, then check the unrecorded ``execute_once`` outcome."""
     scen = GoldenScenario.from_payload(header.scenario)
 
     expected_result: Optional[TraceEvent] = None

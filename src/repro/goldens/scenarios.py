@@ -288,6 +288,22 @@ def _build_matrix() -> Tuple[GoldenScenario, ...]:
             faults=ScriptedFaults((150.0, 151.0, 600.0, 1800.0, 3500.0)),
             seed=200610,
         ),
+        # A non-zero rollback cost with overhead faults: faults inside a
+        # rollback window corrupt the restored state and are carried
+        # into the next attempt.
+        GoldenScenario(
+            name="adaptive-scp-rollback-overhead",
+            scheme="A_D_S",
+            task=_task(
+                0.70, 2.8e-3, frequency=1.0, k=8,
+                costs=CostModel(
+                    store_cycles=2.0, compare_cycles=20.0, rollback_cycles=40.0
+                ),
+            ),
+            faults=PoissonFaults(2.8e-3),
+            seed=200611,
+            faults_during_overhead=True,
+        ),
     )
 
 

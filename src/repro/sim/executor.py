@@ -15,6 +15,9 @@ over one realisation of a fault process and produces a
    * **CCP subdivision** — states are compared at every sub-boundary;
      divergence is detected at the first comparison after the fault and
      the pair rolls back to the interval's opening CSCP;
+   * **CSCP subdivision** — states are compared and stored at every
+     sub-boundary; divergence is detected at the first comparison after
+     the fault and the pair rolls back to the last clean boundary;
    * **plain CSCP** (``m = 1``) — detect at the end, roll back the whole
      interval;
 
@@ -25,34 +28,32 @@ Timing and energy: an operation of ``x`` cycles at frequency ``f`` takes
 ``x/f`` time units and charges the energy model with ``x`` cycles at
 ``f``.  Fault arrivals live in wall-clock time.  By default faults
 landing inside checkpoint overhead windows are ignored — the convention
-of the paper's analysis and, empirically, of its simulator (DESIGN.md
-§5); set ``faults_during_overhead=True`` to have them corrupt state
-too.
+of the paper's analysis; set ``faults_during_overhead=True`` to have
+them corrupt state too (a fault inside a rollback window then corrupts
+the restored state and is detected by the next attempt).
 
-Hot path
+One loop
 --------
-The interval loop is the per-rep cost of every Monte-Carlo cell, so it
-is written against a fixed arithmetic contract: **every float operation
-happens in the same order as the reference implementation**, which is
-what keeps :class:`RunResult`\\ s (and therefore the block-merged
-``CellEstimate``\\ s) bit-identical while the bookkeeping around them
-gets cheaper.  Concretely:
+:func:`simulate_run` and :func:`execute_once` run the same interval
+loop.  It is the per-rep cost of every Monte-Carlo cell, so it keeps
+everything in local variables and pays for observation only when
+asked: a trace recorder and the ``cycles_by_frequency`` map are fed
+inside one ``if observed:`` branch per segment, which never touches
+the arithmetic.  So a recorded run, an unrecorded run and
+:func:`execute_once` give the same bits, and the golden-trace replay
+checks, event by event, the loop that computes every table.
+Concretely:
 
 * fault arrivals come from the *batched* :class:`~repro.sim.faults.
-  FaultStream` (``take_until`` resolves a whole segment's faults in one
-  ``searchsorted``) whose arrival values are bit-identical to the
-  sequential iterator;
+  FaultStream` (``drain_until`` resolves a whole segment's faults in
+  one bisection);
 * per-segment energy is ``coef · cycles`` with ``coef = (n·V(f))·V(f)``
   cached per frequency — the exact operation order of
   :meth:`~repro.sim.energy.EnergyModel.segment_energy`, minus the
   per-segment lambda call and dict updates;
-* trace callbacks are skipped entirely when the recorder is the
-  :data:`~repro.sim.trace.NULL_RECORDER` no-op singleton;
-* per-interval scratch (:class:`_Corruption`) is pooled per run, and
-  :func:`execute_once` exposes the loop without building a
-  :class:`RunResult` (no ``cycles_by_frequency`` dict) for callers that
-  only fold counters — the slab path of
-  :func:`repro.sim.montecarlo.accumulate_range`.
+* :func:`execute_once` skips the ``cycles_by_frequency`` map and the
+  :class:`RunResult` for callers that only fold counters — the slab
+  path of :func:`repro.sim.montecarlo.accumulate_range`.
 
 ``benchmarks/bench_executor.py`` tracks the resulting reps/s and CI
 fails the perf-smoke job on a >2× regression.
@@ -91,8 +92,8 @@ _CYCLE_EPS = 1e-9
 
 #: Minimum meaningful sub-interval span in cycles: ``m`` is clamped so
 #: no sub-interval falls below it.  Shared by _effective_subdivisions
-#: and its inline copy in the fused loop — the two must stay
-#: operation-identical for the traced ≡ fused bit-identity contract.
+#: and the interval loop's inline tail clamp, which must stay
+#: operation-identical to it (the fast kernel calls the function).
 _MIN_SUB_CYCLES = 1e-6
 
 #: Cached default model — building ``EnergyModel.paper_dmr()`` per run
@@ -170,134 +171,6 @@ class RunOutcome:
     rollbacks: int
 
 
-class _Corruption:
-    """Tracks state divergence since the last consistent point.
-
-    Pooled per run (two instances cover the working corruption and the
-    rollback-window carry) instead of allocated per interval.
-    """
-
-    __slots__ = ("first_fault_time", "count")
-
-    def __init__(self) -> None:
-        self.first_fault_time: Optional[float] = None
-        self.count = 0
-
-    def reset(self) -> None:
-        self.first_fault_time = None
-        self.count = 0
-
-    def record(self, time: float) -> None:
-        if self.first_fault_time is None:
-            self.first_fault_time = time
-        self.count += 1
-
-    def record_many(self, times) -> None:
-        """Fold a segment's arrivals (ordered, non-empty) in one call."""
-        if self.first_fault_time is None:
-            self.first_fault_time = float(times[0])
-        self.count += len(times)
-
-    @property
-    def corrupted(self) -> bool:
-        return self.first_fault_time is not None
-
-
-class _Environment:
-    """Per-run context threaded through the interval runner.
-
-    Owns the cached head of the fault stream (``next_fault``) so the
-    common no-fault segment costs one float compare, the per-frequency
-    energy coefficients, and the running totals the loop updates.
-    """
-
-    __slots__ = (
-        "state",
-        "stream",
-        "recorder",
-        "tracing",
-        "overhead_corrupting",
-        "next_fault",
-        "energy",
-        "cycles_map",
-        "coef",
-        "coef_freq",
-        "_coefs",
-        "_voltage_of",
-        "_nproc",
-    )
-
-    def __init__(
-        self,
-        state: ExecutionState,
-        stream: FaultStream,
-        model: EnergyModel,
-        faults_during_overhead: bool,
-        recorder: TraceRecorder,
-        cycles_map: Optional[Dict[float, float]],
-    ) -> None:
-        self.state = state
-        self.stream = stream
-        self.recorder = recorder
-        self.tracing = recorder is not NULL_RECORDER
-        self.overhead_corrupting = faults_during_overhead
-        self.next_fault = stream.peek()
-        self.energy = 0.0
-        self.cycles_map = cycles_map
-        self._voltage_of = model.voltage_of
-        self._nproc = model.n_processors
-        self._coefs: Dict[float, float] = {}
-        self.coef = 0.0
-        self.coef_freq = -1.0  # sentinel: no frequency is negative
-
-    def _coefficient(self, frequency: float) -> float:
-        """Energy per cycle at ``frequency`` — ``(n·V(f))·V(f)``.
-
-        Exactly :meth:`EnergyModel.segment_energy`'s operation order
-        (``n * v * v * cycles`` associates left), so ``coef * cycles``
-        is bit-identical to the per-segment computation.
-        """
-        coef = self._coefs.get(frequency)
-        if coef is None:
-            voltage = self._voltage_of(frequency)
-            coef = self._nproc * voltage * voltage
-            self._coefs[frequency] = coef
-        self.coef = coef
-        self.coef_freq = frequency
-        return coef
-
-    def advance(
-        self, cycles: float, corruption: _Corruption, corrupting: bool, label: str
-    ) -> None:
-        """Advance time by ``cycles`` at the current speed; resolve faults."""
-        if cycles == 0.0:
-            return
-        if cycles < 0:
-            raise ParameterError(f"cannot advance by negative cycles: {cycles}")
-        state = self.state
-        frequency = state.frequency
-        start = state.clock
-        end = start + cycles / frequency
-        if self.next_fault <= end:
-            times = self.stream.take_until(end)
-            state.injected_faults += len(times)
-            if self.tracing:
-                recorder = self.recorder
-                for time in times:
-                    recorder.fault(float(time), corrupting=corrupting)
-            if corrupting and len(times):
-                corruption.record_many(times)
-            self.next_fault = self.stream.peek()
-        state.clock = end
-        coef = self.coef if frequency == self.coef_freq else self._coefficient(frequency)
-        self.energy += coef * cycles
-        cycles_map = self.cycles_map
-        if cycles_map is not None:
-            cycles_map[frequency] = cycles_map.get(frequency, 0.0) + cycles
-        if self.tracing:
-            self.recorder.segment(label, frequency, start, end, cycles)
-
-
 def simulate_run(
     task: TaskSpec,
     policy: "CheckpointPolicy",
@@ -308,7 +181,6 @@ def simulate_run(
     faults_during_overhead: bool = False,
     limits: SimulationLimits = SimulationLimits(),
     recorder: TraceRecorder = NULL_RECORDER,
-    reference: bool = False,
 ) -> RunResult:
     """Simulate one execution of ``task`` under ``policy``.
 
@@ -333,13 +205,9 @@ def simulate_run(
     limits:
         Safety bounds.
     recorder:
-        Optional :class:`~repro.sim.trace.TraceRecorder`.
-    reference:
-        Force the traced *reference* loop even without a recorder.
-        Attaching any recorder already routes there; this knob lets
-        callers (the golden-trace replay engine, loop-equivalence
-        tests) pin the reference arithmetic path explicitly instead of
-        encoding "recorder implies reference" as an assumption.
+        Optional :class:`~repro.sim.trace.TraceRecorder`.  It observes
+        the same loop :func:`execute_once` runs and changes no result
+        bit.
     """
     if energy_model is None:
         energy_model = default_energy_model()
@@ -347,7 +215,7 @@ def simulate_run(
         rng = np.random.default_rng()
 
     cycles_map: Dict[float, float] = {}
-    state, energy, failure = _execute(
+    state, energy, failure = _interval_loop(
         task,
         policy,
         faults.stream(rng),
@@ -356,7 +224,6 @@ def simulate_run(
         limits,
         recorder,
         cycles_map,
-        reference=reference,
     )
     completed = state.remaining_cycles <= _CYCLE_EPS
     timely = completed and state.clock <= task.deadline + _CYCLE_EPS
@@ -388,17 +255,16 @@ def execute_once(
 ) -> RunOutcome:
     """One run, returning only what the accumulators fold.
 
-    The slab-path twin of :func:`simulate_run`: identical simulation
-    (bit-for-bit — same stream, same arithmetic), but no
-    ``cycles_by_frequency`` dict is maintained and no
-    :class:`RunResult`/failure taxonomy is built, which is measurable
-    at 10,000-rep cell scale.
+    The slab-path twin of :func:`simulate_run`: the same loop on the
+    same stream, but unobserved — no ``cycles_by_frequency`` dict is
+    maintained and no :class:`RunResult`/failure taxonomy is built,
+    which is measurable at 10,000-rep cell scale.
     """
     if energy_model is None:
         energy_model = default_energy_model()
     if rng is None:
         rng = np.random.default_rng()
-    state, energy, _failure = _execute(
+    state, energy, _failure = _interval_loop(
         task,
         policy,
         faults.stream(rng),
@@ -423,214 +289,44 @@ def execute_once(
     )
 
 
-def _execute(
-    task: TaskSpec,
-    policy: "CheckpointPolicy",
-    stream: FaultStream,
-    energy_model: EnergyModel,
-    faults_during_overhead: bool,
-    limits: SimulationLimits,
-    recorder: TraceRecorder,
-    cycles_map: Optional[Dict[float, float]],
-    *,
-    reference: bool = False,
-) -> Tuple[ExecutionState, float, Optional[str]]:
-    """Run the interval loop; returns ``(state, energy, failure)``.
-
-    Dispatches between two implementations with identical arithmetic:
-    the traced path (per-segment recorder callbacks, object-based
-    bookkeeping) and the fused Monte-Carlo hot path (everything in
-    locals, no per-segment calls) taken whenever no recorder is
-    attached and ``reference`` is not forced.
-    ``tests/test_executor_slab.py`` pins their bit-equality.
-    """
-    if recorder is NULL_RECORDER and not reference:
-        return _execute_fast(
-            task, policy, stream, energy_model, faults_during_overhead,
-            limits, cycles_map,
-        )
-    return _execute_traced(
-        task, policy, stream, energy_model, faults_during_overhead,
-        limits, recorder, cycles_map,
-    )
-
-
-def _execute_traced(
-    task: TaskSpec,
-    policy: "CheckpointPolicy",
-    stream: FaultStream,
-    energy_model: EnergyModel,
-    faults_during_overhead: bool,
-    limits: SimulationLimits,
-    recorder: TraceRecorder,
-    cycles_map: Optional[Dict[float, float]],
-) -> Tuple[ExecutionState, float, Optional[str]]:
-    """The reference interval loop, with trace callbacks."""
-    state = ExecutionState.fresh(task)
-    env = _Environment(
-        state, stream, energy_model, faults_during_overhead, recorder, cycles_map
-    )
-    policy.start(state)
-    tracing = env.tracing
-    if tracing:
-        recorder.speed(state.clock, state.frequency)
-
-    failure: Optional[str] = None
-    # Pooled corruption trackers: `carried` aliases one of them (or is
-    # None) and the other is free for the next rollback window.
-    corr_a = _Corruption()
-    corr_b = _Corruption()
-    carried: Optional[_Corruption] = None
-    intervals = 0
-    max_intervals = limits.max_intervals
-    horizon = limits.horizon(task)
-    while state.remaining_cycles > _CYCLE_EPS:
-        intervals += 1
-        if intervals > max_intervals:
-            raise SimulationError(
-                f"run exceeded {max_intervals} CSCP intervals; "
-                "policy/executor inconsistency"
-            )
-        if state.remaining_time > state.deadline_left:
-            failure = "deadline_infeasible"
-            break
-        if state.clock > horizon:
-            failure = "horizon"
-            break
-
-        plan = policy.plan(state)
-        if carried is None:
-            corruption = corr_a
-            corruption.reset()
-            spare = corr_b
-        else:
-            # A rollback window corrupted the restored state: it
-            # poisons this attempt, whose comparison will detect it.
-            corruption = carried
-            spare = corr_a if carried is corr_b else corr_b
-        committed, detected = _run_interval(env, plan, corruption, spare)
-        carried = spare if detected and spare.corrupted else None
-        state.remaining_cycles -= committed
-        if detected:
-            state.detected_faults += 1
-            state.rollbacks += 1
-            state.faults_left -= 1
-            previous_frequency = state.frequency
-            policy.on_fault(state)
-            if tracing and state.frequency != previous_frequency:
-                recorder.speed(state.clock, state.frequency)
-
-    completed = state.remaining_cycles <= _CYCLE_EPS
-    if completed:
-        failure = None
-    elif failure is None:
-        failure = "deadline_infeasible"
-    if tracing:
-        timely = completed and state.clock <= task.deadline + _CYCLE_EPS
-        recorder.finish(state.clock, completed=completed, timely=timely)
-    return state, env.energy, failure
-
-
-def _run_interval(
-    env: _Environment, plan, corruption: _Corruption, spare: _Corruption
-) -> Tuple[float, bool]:
-    """Execute one CSCP interval according to ``plan``.
-
-    ``corruption`` is the working tracker (possibly carrying corruption
-    inherited from a preceding rollback window); ``spare`` is the free
-    pooled tracker a rollback window may write into.  Returns
-    ``(committed_cycles, detected)`` — the rollback cost is already
-    charged when a fault was detected.
-    """
-    state = env.state
-    costs = state.task.costs
-    frequency = state.frequency
-
-    interval_cycles = min(plan.interval_time * frequency, state.remaining_cycles)
-    m = _effective_subdivisions(plan.m, interval_cycles)
-    sub_cycles = interval_cycles / m
-    sub_kind: CheckpointKind = plan.sub_kind
-
-    tracing = env.tracing
-    overhead_corrupting = env.overhead_corrupting
-    advance = env.advance
-    clean_boundary = 0  # index of last sub-boundary with consistent stored state
-
-    for index in range(1, m + 1):
-        advance(sub_cycles, corruption, True, "exec")
-        if index < m:
-            state.sub_checkpoints += 1
-            if sub_kind is CheckpointKind.SCP:
-                # Store without comparing: detection waits for the CSCP.
-                advance(costs.store_cycles, corruption, overhead_corrupting, "scp")
-                if tracing:
-                    env.recorder.checkpoint(state.clock, CheckpointKind.SCP)
-                if not corruption.corrupted:
-                    clean_boundary = index
-            elif sub_kind is CheckpointKind.CCP:
-                advance(costs.compare_cycles, corruption, overhead_corrupting, "ccp")
-                if tracing:
-                    env.recorder.checkpoint(state.clock, CheckpointKind.CCP)
-                if corruption.corrupted:
-                    # Early detection: roll back to the opening CSCP.
-                    _detect(env, spare, committed=0.0)
-                    return 0.0, True
-            else:
-                # Interior CSCP: compare AND store — detect early, and a
-                # clean pass becomes the new rollback target.
-                advance(
-                    costs.checkpoint_cycles, corruption, overhead_corrupting, "cscp"
-                )
-                if tracing:
-                    env.recorder.checkpoint(state.clock, CheckpointKind.CSCP)
-                if corruption.corrupted:
-                    committed = clean_boundary * sub_cycles
-                    _detect(env, spare, committed=committed)
-                    return committed, True
-                clean_boundary = index
-
-    # Closing CSCP: compare (detects any divergence) and store.
-    advance(costs.checkpoint_cycles, corruption, overhead_corrupting, "cscp")
-    state.checkpoints += 1
-    if tracing:
-        env.recorder.checkpoint(state.clock, CheckpointKind.CSCP)
-
-    if corruption.corrupted:
-        if sub_kind is CheckpointKind.SCP:
-            committed = clean_boundary * sub_cycles
-        else:
-            committed = 0.0
-        _detect(env, spare, committed=committed)
-        return committed, True
-
-    return interval_cycles, False
-
-
-def _execute_fast(
+def _interval_loop(
     task: TaskSpec,
     policy: "CheckpointPolicy",
     stream: FaultStream,
     energy_model: EnergyModel,
     overhead_corrupting: bool,
     limits: SimulationLimits,
+    recorder: TraceRecorder,
     cycles_map: Optional[Dict[float, float]],
 ) -> Tuple[ExecutionState, float, Optional[str]]:
-    """The fused Monte-Carlo hot loop — :func:`_execute_traced` with
-    the per-segment advance and per-interval runner inlined.
+    """The interval loop; returns ``(state, energy, failure)``.
 
-    Identical arithmetic in identical order — ``end = clock +
-    cycles/f``, ``energy += coef·cycles``, the same fault consumption —
-    but on local variables, with no per-segment or per-interval
-    function calls.  The :class:`ExecutionState` is synchronised before
-    every policy callback (``plan``; ``on_fault`` on detection) and on
-    exit, so policies observe exactly the state the reference loop
-    shows them.  Policies declaring ``plan_stable`` (every in-repo
+    Everything lives in local variables, with no per-segment or
+    per-interval function calls.  The :class:`ExecutionState` is
+    synchronised before every policy callback (``plan``; ``on_fault``
+    on detection) and on exit, so policies always observe the current
+    run state.  Policies declaring ``plan_stable`` (every in-repo
     scheme) are asked for their plan only at start and after each
     fault; the plan-derived per-interval constants are cached in
     between.
+
+    The run is *observed* when a recorder is attached or a cycle map
+    is wanted.  Each segment then updates ``cycles_map`` and calls the
+    recorder inside one ``if observed:`` branch, so an unobserved run
+    tests one flag per segment; observation never writes the clock,
+    the energy, the remaining work, the counters or the corruption
+    state.  Recorder events: ``speed`` at start and after an
+    ``on_fault`` that changes speed (never after ``plan``), each
+    ``fault`` with its corrupting flag, each non-empty ``segment``,
+    each ``checkpoint`` and ``rollback`` (also at zero cost), and the
+    ``finish``.
     """
     state = ExecutionState.fresh(task)
     policy.start(state)
+    tracing = recorder is not NULL_RECORDER
+    if tracing and cycles_map is None:
+        cycles_map = {}
+    observed = cycles_map is not None
 
     costs = task.costs
     store_cycles = costs.store_cycles
@@ -654,6 +350,7 @@ def _execute_fast(
     plan_stable = getattr(policy, "plan_stable", False)
     kind_scp = CheckpointKind.SCP
     kind_ccp = CheckpointKind.CCP
+    kind_cscp = CheckpointKind.CSCP
 
     # Hoisted mutable run state (synced to ``state`` at policy
     # boundaries and on exit).
@@ -683,8 +380,11 @@ def _execute_fast(
     m_full = 1
     sub_full = 0.0
     plan_m = 1
+    sub_cost = 0.0
     is_scp = False
     is_ccp = False
+    if tracing:
+        recorder.speed(clock, frequency)
 
     while remaining > _CYCLE_EPS:
         intervals += 1
@@ -726,6 +426,12 @@ def _execute_fast(
             sub_kind = plan.sub_kind
             is_scp = sub_kind is kind_scp
             is_ccp = sub_kind is kind_ccp
+            # CostModel.cycles_of, without a call per replan.
+            sub_cost = (
+                store_cycles if is_scp
+                else compare_cycles if is_ccp
+                else checkpoint_cycles
+            )
 
         if remaining < interval_full:
             # The tail interval: clamp to the remaining work
@@ -753,6 +459,10 @@ def _execute_fast(
         committed = -1.0  # sentinel: no detection
         clean_boundary = 0  # last sub-boundary with consistent stored state
 
+        # Every segment below has the same shape: skip it at zero
+        # cycles, drain the faults up to its end (execution always
+        # corrupts; overhead only with faults_during_overhead), observe
+        # it, then advance the clock and charge coef·cycles.
         if m == 1:
             # Plain-CSCP interval (the A_D and static schemes, and any
             # unsubdivided adaptive interval): one execution segment
@@ -762,33 +472,45 @@ def _execute_fast(
                 if next_fault <= end:
                     times, next_fault = drain_until(end)
                     injected += len(times)
+                    if tracing:
+                        _record_faults(recorder, times, True)
                     if first_fault is None:
                         first_fault = times[0]
-                clock = end
-                energy += coef * sub_cycles
-                if cycles_map is not None:
+                if observed:
                     cycles_map[frequency] = (
                         cycles_map.get(frequency, 0.0) + sub_cycles
                     )
+                    if tracing:
+                        recorder.segment("exec", frequency, clock, end, sub_cycles)
+                clock = end
+                energy += coef * sub_cycles
             if checkpoint_cycles != 0.0:
                 end = clock + checkpoint_cycles / frequency
                 if next_fault <= end:
                     times, next_fault = drain_until(end)
                     injected += len(times)
+                    if tracing:
+                        _record_faults(recorder, times, overhead_corrupting)
                     if overhead_corrupting and first_fault is None:
                         first_fault = times[0]
-                clock = end
-                energy += coef * checkpoint_cycles
-                if cycles_map is not None:
+                if observed:
                     cycles_map[frequency] = (
                         cycles_map.get(frequency, 0.0) + checkpoint_cycles
                     )
+                    if tracing:
+                        recorder.segment(
+                            "cscp", frequency, clock, end, checkpoint_cycles
+                        )
+                        recorder.checkpoint(end, kind_cscp)
+                clock = end
+                energy += coef * checkpoint_cycles
+            elif tracing:
+                recorder.checkpoint(clock, kind_cscp)
             checkpoints += 1
             if first_fault is None:
                 remaining -= interval_cycles
                 continue
-            # clean_boundary is 0, so the SCP rollback target and the
-            # plain-CSCP one coincide: nothing was committed.
+            # clean_boundary is 0: nothing was committed.
             committed = 0.0
         else:
             for index in range(1, m + 1):
@@ -798,77 +520,54 @@ def _execute_fast(
                     if next_fault <= end:
                         times, next_fault = drain_until(end)
                         injected += len(times)
+                        if tracing:
+                            _record_faults(recorder, times, True)
                         if first_fault is None:
                             first_fault = times[0]
-                    clock = end
-                    energy += coef * sub_cycles
-                    if cycles_map is not None:
+                    if observed:
                         cycles_map[frequency] = (
                             cycles_map.get(frequency, 0.0) + sub_cycles
                         )
+                        if tracing:
+                            recorder.segment(
+                                "exec", frequency, clock, end, sub_cycles
+                            )
+                    clock = end
+                    energy += coef * sub_cycles
                 if index < m:
+                    # -- interior sub-checkpoint: an SCP stores, a CCP
+                    # compares, an interior CSCP does both
                     subs += 1
-                    if is_scp:
-                        # Store without comparing: detection waits for
-                        # the closing CSCP.
-                        if store_cycles != 0.0:
-                            end = clock + store_cycles / frequency
-                            if next_fault <= end:
-                                times, next_fault = drain_until(end)
-                                injected += len(times)
-                                if overhead_corrupting and first_fault is None:
-                                    first_fault = times[0]
-                            clock = end
-                            energy += coef * store_cycles
-                            if cycles_map is not None:
-                                cycles_map[frequency] = (
-                                    cycles_map.get(frequency, 0.0)
-                                    + store_cycles
+                    if sub_cost != 0.0:
+                        end = clock + sub_cost / frequency
+                        if next_fault <= end:
+                            times, next_fault = drain_until(end)
+                            injected += len(times)
+                            if tracing:
+                                _record_faults(recorder, times, overhead_corrupting)
+                            if overhead_corrupting and first_fault is None:
+                                first_fault = times[0]
+                        if observed:
+                            cycles_map[frequency] = (
+                                cycles_map.get(frequency, 0.0) + sub_cost
+                            )
+                            if tracing:
+                                recorder.segment(
+                                    sub_kind.value, frequency, clock, end, sub_cost
                                 )
-                        if first_fault is None:
-                            clean_boundary = index
-                    elif is_ccp:
-                        if compare_cycles != 0.0:
-                            end = clock + compare_cycles / frequency
-                            if next_fault <= end:
-                                times, next_fault = drain_until(end)
-                                injected += len(times)
-                                if overhead_corrupting and first_fault is None:
-                                    first_fault = times[0]
-                            clock = end
-                            energy += coef * compare_cycles
-                            if cycles_map is not None:
-                                cycles_map[frequency] = (
-                                    cycles_map.get(frequency, 0.0)
-                                    + compare_cycles
-                                )
-                        if first_fault is not None:
-                            # Early detection: roll back to the opening
-                            # CSCP.
-                            committed = 0.0
-                            break
-                    else:
-                        # Interior CSCP: compare AND store — detect
-                        # early, and a clean pass becomes the new
-                        # rollback target.
-                        if checkpoint_cycles != 0.0:
-                            end = clock + checkpoint_cycles / frequency
-                            if next_fault <= end:
-                                times, next_fault = drain_until(end)
-                                injected += len(times)
-                                if overhead_corrupting and first_fault is None:
-                                    first_fault = times[0]
-                            clock = end
-                            energy += coef * checkpoint_cycles
-                            if cycles_map is not None:
-                                cycles_map[frequency] = (
-                                    cycles_map.get(frequency, 0.0)
-                                    + checkpoint_cycles
-                                )
-                        if first_fault is not None:
-                            committed = clean_boundary * sub_cycles
-                            break
+                                recorder.checkpoint(end, sub_kind)
+                        clock = end
+                        energy += coef * sub_cost
+                    elif tracing:
+                        recorder.checkpoint(clock, sub_kind)
+                    if first_fault is None:
+                        # A clean boundary: the newest consistent state.
                         clean_boundary = index
+                    elif not is_scp:
+                        # A comparison detects early (an SCP only
+                        # stores: detection waits for the closing CSCP).
+                        committed = 0.0 if is_ccp else clean_boundary * sub_cycles
+                        break
             else:
                 # -- closing CSCP: compare (detects divergence), store
                 if checkpoint_cycles != 0.0:
@@ -876,17 +575,26 @@ def _execute_fast(
                     if next_fault <= end:
                         times, next_fault = drain_until(end)
                         injected += len(times)
+                        if tracing:
+                            _record_faults(recorder, times, overhead_corrupting)
                         if overhead_corrupting and first_fault is None:
                             first_fault = times[0]
-                    clock = end
-                    energy += coef * checkpoint_cycles
-                    if cycles_map is not None:
+                    if observed:
                         cycles_map[frequency] = (
                             cycles_map.get(frequency, 0.0) + checkpoint_cycles
                         )
+                        if tracing:
+                            recorder.segment(
+                                "cscp", frequency, clock, end, checkpoint_cycles
+                            )
+                            recorder.checkpoint(end, kind_cscp)
+                    clock = end
+                    energy += coef * checkpoint_cycles
+                elif tracing:
+                    recorder.checkpoint(clock, kind_cscp)
                 checkpoints += 1
                 if first_fault is not None:
-                    committed = clean_boundary * sub_cycles if is_scp else 0.0
+                    committed = 0.0 if is_ccp else clean_boundary * sub_cycles
 
             if committed < 0.0:
                 remaining -= interval_cycles
@@ -899,16 +607,25 @@ def _execute_fast(
             if next_fault <= end:
                 times, next_fault = drain_until(end)
                 injected += len(times)
+                if tracing:
+                    _record_faults(recorder, times, overhead_corrupting)
                 if overhead_corrupting:
                     # Corrupts the freshly restored state: carried into
                     # the next attempt, whose comparison detects it.
                     carried_fault = times[0]
-            clock = end
-            energy += coef * rollback_cycles
-            if cycles_map is not None:
+            if observed:
                 cycles_map[frequency] = (
                     cycles_map.get(frequency, 0.0) + rollback_cycles
                 )
+                if tracing:
+                    recorder.segment(
+                        "rollback", frequency, clock, end, rollback_cycles
+                    )
+                    recorder.rollback(end, committed)
+            clock = end
+            energy += coef * rollback_cycles
+        elif tracing:
+            recorder.rollback(clock, committed)
         detected += 1
         rollbacks += 1
         faults_left -= 1
@@ -929,6 +646,8 @@ def _execute_fast(
                 voltage = voltage_of(frequency)
                 coef = n_processors * voltage * voltage
                 coefs[frequency] = coef
+            if tracing:
+                recorder.speed(clock, frequency)
 
     state.clock = clock
     state.remaining_cycles = remaining
@@ -943,26 +662,19 @@ def _execute_fast(
         failure = None
     elif failure is None:
         failure = "deadline_infeasible"
+    if tracing:
+        recorder.finish(
+            clock,
+            completed=completed,
+            timely=completed and clock <= deadline + _CYCLE_EPS,
+        )
     return state, energy, failure
 
 
-def _detect(env: _Environment, spare: _Corruption, *, committed: float) -> None:
-    """Charge the rollback of a failed interval.
-
-    Faults arriving *during* the rollback operation (possible only with
-    ``faults_during_overhead``) corrupt the freshly restored state; they
-    are tracked in ``spare`` and — when present — carried into the next
-    attempt by the caller.
-    """
-    spare.reset()
-    env.advance(
-        env.state.task.costs.rollback_cycles,
-        spare,
-        env.overhead_corrupting,
-        "rollback",
-    )
-    if env.tracing:
-        env.recorder.rollback(env.state.clock, committed)
+def _record_faults(recorder: TraceRecorder, times, corrupting: bool) -> None:
+    """Report a segment's fault arrivals, in order."""
+    for time in times:
+        recorder.fault(float(time), corrupting=corrupting)
 
 
 def _effective_subdivisions(m: int, interval_cycles: float) -> int:

@@ -492,8 +492,9 @@ def _run_block(
             early = np.zeros(n_a, dtype=bool)
             committed = np.where(corrupt, g_hit * sub, 0.0)
         elif is_cscp:
+            # Every clean interior CSCP stored: roll back to the last.
             early = corrupt & ~closing_hit & (g_hit < m - 1)
-            committed = np.where(early, g_hit * sub, 0.0)
+            committed = np.where(corrupt, g_hit * sub, 0.0)
         else:  # CCP: rollback always reaches the opening CSCP
             early = corrupt & ~closing_hit & (g_hit < m - 1)
             committed = np.zeros(n_a)

@@ -231,6 +231,47 @@ class TestCcpRollback:
         assert result.finish_time == pytest.approx(45.0 + 182.0)
 
 
+class TestInteriorCscpRollback:
+    """Interior CSCPs compare *and* store: each clean one is a rollback
+    target.  Fault-free timeline (m=4, CSCP 22): exec(0,25) c(25,47)
+    exec(47,72) c(72,94) exec(94,119) c(119,141) exec(141,166)
+    CSCP(166,188)."""
+
+    @staticmethod
+    def _run(fault):
+        task = make_task(cycles=100.0)
+        policy = make_fixed_policy(
+            interval_time=100.0, m=4, sub_kind=CheckpointKind.CSCP
+        )
+        trace = Trace()
+        result = simulate_run(
+            task, policy, ScriptedFaults([fault]), recorder=trace
+        )
+        return result, trace
+
+    def test_fault_in_first_subinterval_commits_nothing(self):
+        result, trace = self._run(10.0)
+        # Detected at the first interior CSCP (47); the whole interval
+        # repeats (188).
+        assert [r.committed_cycles for r in trace.rollbacks] == [0.0]
+        assert result.finish_time == pytest.approx(47.0 + 188.0)
+
+    def test_early_detection_keeps_clean_boundaries(self):
+        result, trace = self._run(60.0)
+        # Detected at 94; the CSCP at 47 was clean: 25 cycles commit.
+        # Retry 75 cycles with m=4: 75 + 3·22 + 22 = 163.
+        assert [r.committed_cycles for r in trace.rollbacks] == [25.0]
+        assert result.finish_time == pytest.approx(94.0 + 163.0)
+
+    def test_detection_at_closing_cscp_keeps_verified_work(self):
+        result, trace = self._run(150.0)
+        # Detected at the closing CSCP (188); the three interior CSCPs
+        # were clean: 75 cycles commit.  Retry 25: 25 + 3·22 + 22 = 113.
+        assert [r.committed_cycles for r in trace.rollbacks] == [75.0]
+        assert result.finish_time == pytest.approx(188.0 + 113.0)
+        assert result.detected_faults == 1
+
+
 class TestDeadlineHandling:
     def test_timely_false_when_finishing_late(self):
         task = make_task(cycles=100.0, deadline=130.0)

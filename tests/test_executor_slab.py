@@ -1,25 +1,29 @@
-"""Bit-equality of the executor hot paths and the slab accumulation.
+"""Bit-equality of the executor's entry points and the slab accumulation.
 
-Three identities underpin the PR-4 performance overhaul, and each is
-pinned here exactly (``repr`` equality — float-for-float, NaN-aware):
+Three identities underpin the executor hot path, and each is pinned
+here exactly (``repr`` equality — float-for-float, NaN-aware):
 
-1. **traced ≡ fused** — :func:`simulate_run` with a recorder attached
-   takes the reference object-based loop; without one it takes the
-   fused local-variable loop.  Same :class:`RunResult`, bit for bit.
+1. **recorded ≡ unrecorded** — :func:`simulate_run` runs one interval
+   loop with or without a recorder; attaching one (which also feeds
+   every recorder callback) must not change a single result bit.
 2. **execute_once ≡ simulate_run** — the slab-facing entry point skips
    the ``cycles_by_frequency`` map and the ``RunResult``, changing
    nothing it does report.
 3. **slab ≡ per-rep accumulation** — folding a block through
    :func:`accumulate_range`'s NumPy scratch equals per-rep
    ``CellAccumulator.add`` over :func:`run_range`'s results, which is
-   what keeps ``CellEstimate``\\ s bit-identical to the seed across
-   every backend.
+   what keeps ``CellEstimate``\\ s bit-identical across every backend.
+
+Besides the five schemes, :data:`FACTORIES` covers what no in-repo
+scheme runs: a fixed plan with interior CSCPs that is not
+``plan_stable``, and a task with a non-zero rollback cost.
 """
 
 from functools import partial
 
 import pytest
 
+from repro.core.checkpoints import CheckpointKind, CostModel
 from repro.core.schemes import (
     AdaptiveCCPPolicy,
     AdaptiveDVSPolicy,
@@ -27,7 +31,6 @@ from repro.core.schemes import (
     KFaultTolerantPolicy,
     PoissonArrivalPolicy,
 )
-from repro.core.checkpoints import CostModel
 from repro.sim.faults import BurstyFaults, PoissonFaults, WeibullFaults
 from repro.sim.montecarlo import (
     CellAccumulator,
@@ -40,61 +43,83 @@ from repro.sim.rng import RandomSource
 from repro.sim.task import TaskSpec
 from repro.sim.trace import Trace
 
+from tests.conftest import FixedPlanPolicy
+
 REPS = 60
 
 
-def _task(ccp: bool = False) -> TaskSpec:
+COSTS = {
+    "scp": CostModel.scp_favourable(),
+    "ccp": CostModel.ccp_favourable(),
+    "rollback": CostModel(
+        store_cycles=2.0, compare_cycles=20.0, rollback_cycles=11.0
+    ),
+}
+
+
+def _task(costs: str = "scp") -> TaskSpec:
     return TaskSpec(
         cycles=8200.0,
         deadline=10_000.0,
         fault_budget=5,
         fault_rate=1.6e-3,
-        costs=CostModel.ccp_favourable() if ccp else CostModel.scp_favourable(),
+        costs=COSTS[costs],
     )
 
 
 FACTORIES = [
-    ("Poisson", partial(PoissonArrivalPolicy, 1.0), False),
-    ("k-f-t", partial(KFaultTolerantPolicy, 1.0), False),
-    ("A_D", AdaptiveDVSPolicy, False),
-    ("A_D_S", AdaptiveSCPPolicy, False),
-    ("A_D_C", AdaptiveCCPPolicy, True),
+    ("Poisson", partial(PoissonArrivalPolicy, 1.0), "scp"),
+    ("k-f-t", partial(KFaultTolerantPolicy, 1.0), "scp"),
+    ("A_D", AdaptiveDVSPolicy, "scp"),
+    ("A_D_S", AdaptiveSCPPolicy, "scp"),
+    ("A_D_C", AdaptiveCCPPolicy, "ccp"),
+    # Interior CSCPs, asked for a plan every interval, at f2.
+    (
+        "fixed-cscp-m4",
+        partial(FixedPlanPolicy, 300.0, 4, CheckpointKind.CSCP, 2.0),
+        "scp",
+    ),
+    ("A_D_S-rollback", AdaptiveSCPPolicy, "rollback"),
 ]
 
 
 @pytest.mark.parametrize(
-    "factory,ccp", [(f, c) for _, f, c in FACTORIES], ids=[n for n, _, _ in FACTORIES]
+    "factory,costs", [(f, c) for _, f, c in FACTORIES], ids=[n for n, _, _ in FACTORIES]
 )
 class TestHotPathIdentity:
-    def test_traced_equals_fused(self, factory, ccp):
-        """A Trace recorder must not change a single result bit."""
-        task = _task(ccp)
+    def test_traced_equals_fused(self, factory, costs):
+        """Attaching a Trace recorder must not change a single result bit."""
+        task = _task(costs)
         for rep in range(25):
             rng_a = RandomSource(11).substream(rep)
             rng_b = RandomSource(11).substream(rep)
-            fused = simulate_run(task, factory(), PoissonFaults(task.fault_rate), rng=rng_a)
-            traced = simulate_run(
+            plain = simulate_run(
+                task, factory(), PoissonFaults(task.fault_rate), rng=rng_a
+            )
+            recorded = simulate_run(
                 task,
                 factory(),
                 PoissonFaults(task.fault_rate),
                 rng=rng_b,
                 recorder=Trace(),
             )
-            assert repr(fused) == repr(traced)
+            assert repr(plain) == repr(recorded)
 
-    def test_traced_equals_fused_with_overhead_faults(self, factory, ccp):
-        task = _task(ccp)
+    def test_traced_equals_fused_with_overhead_faults(self, factory, costs):
+        """The same with overhead faults; on the rollback-cost task they
+        also hit rollback windows and are carried into the next attempt."""
+        task = _task(costs)
         for rep in range(15):
             rng_a = RandomSource(5).substream(rep)
             rng_b = RandomSource(5).substream(rep)
-            fused = simulate_run(
+            plain = simulate_run(
                 task,
                 factory(),
                 PoissonFaults(0.01),
                 rng=rng_a,
                 faults_during_overhead=True,
             )
-            traced = simulate_run(
+            recorded = simulate_run(
                 task,
                 factory(),
                 PoissonFaults(0.01),
@@ -102,10 +127,10 @@ class TestHotPathIdentity:
                 faults_during_overhead=True,
                 recorder=Trace(),
             )
-            assert repr(fused) == repr(traced)
+            assert repr(plain) == repr(recorded)
 
-    def test_execute_once_matches_simulate_run(self, factory, ccp):
-        task = _task(ccp)
+    def test_execute_once_matches_simulate_run(self, factory, costs):
+        task = _task(costs)
         for rep in range(25):
             rng_a = RandomSource(3).substream(rep)
             rng_b = RandomSource(3).substream(rep)
@@ -123,11 +148,11 @@ class TestHotPathIdentity:
 
 
 @pytest.mark.parametrize(
-    "factory,ccp", [(f, c) for _, f, c in FACTORIES], ids=[n for n, _, _ in FACTORIES]
+    "factory,costs", [(f, c) for _, f, c in FACTORIES], ids=[n for n, _, _ in FACTORIES]
 )
-def test_slab_equals_per_rep_accumulation(factory, ccp):
+def test_slab_equals_per_rep_accumulation(factory, costs):
     """accumulate_range ≡ CellAccumulator.add over run_range, bit for bit."""
-    task = _task(ccp)
+    task = _task(costs)
     per_rep = CellAccumulator().add_all(
         run_range(task, factory, start=0, stop=REPS, seed=2006)
     )

@@ -26,11 +26,13 @@ import math
 
 import pytest
 
-from repro.core.checkpoints import CostModel
+from repro.core.checkpoints import CheckpointKind, CostModel
 from repro.core.schemes import (
     AdaptiveSCPPolicy,
+    Plan,
     PoissonArrivalPolicy,
     ReplanTable,
+    _StaticPolicy,
     replan_table_for,
 )
 from repro.errors import ParameterError
@@ -117,6 +119,50 @@ def test_scripted_conformance_matches_exact_engine(scen, fdo):
     assert _close(
         fast.mean_finish_time_timely, exact.mean_finish_time_timely
     )
+
+
+class _CscpSubdividedPolicy(_StaticPolicy):
+    """A static plan with three interior CSCPs (no in-repo scheme plans
+    interior CSCPs)."""
+
+    name = "static-cscp-m4"
+
+    def start(self, state):
+        super().start(state)
+        self._plan = Plan(
+            interval_time=self._interval(state), m=4, sub_kind=CheckpointKind.CSCP
+        )
+
+    def _interval(self, state):
+        return 100.0
+
+
+def test_interior_cscp_detection_keeps_verified_work():
+    """A fault in the last sub-interval is detected at the closing
+    CSCP; the three clean interior CSCPs stored 75 cycles, so only 25
+    are retried: finish 188 + 113 = 301 in both kernels."""
+    task = TaskSpec(
+        cycles=100.0,
+        deadline=10_000.0,
+        fault_budget=5,
+        fault_rate=1e-3,
+        costs=CostModel.scp_favourable(),
+    )
+    faults = ScriptedFaults([150.0])
+    assert kernel_supported(task, _CscpSubdividedPolicy(), faults)
+    exact = accumulate_range(
+        task, _CscpSubdividedPolicy, start=0, stop=_REPS, faults=faults
+    ).finalize()
+    fast = accumulate_range_fast(
+        task, _CscpSubdividedPolicy, start=0, stop=_REPS, faults=faults
+    ).finalize()
+    assert exact.mean_finish_time_timely == pytest.approx(301.0)
+    assert fast.mean_finish_time_timely == pytest.approx(301.0)
+    assert fast.p == exact.p == 1.0
+    assert fast.mean_detected_faults == exact.mean_detected_faults == 1.0
+    assert fast.mean_checkpoints == exact.mean_checkpoints
+    assert fast.mean_sub_checkpoints == exact.mean_sub_checkpoints
+    assert _close(fast.energy_all.value, exact.energy_all.value)
 
 
 # ---------------------------------------------------------------------------

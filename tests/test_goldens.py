@@ -14,6 +14,7 @@ drift detection"):
   ``ConfigurationError`` (CLI exit 2), not tracebacks.
 """
 
+import importlib
 import json
 import math
 import shutil
@@ -302,7 +303,7 @@ class TestReplayClean:
         # Both kinds: the executor matrix plus the taskset trace.
         paths = record_matrix(str(tmp_path))
         reports = replay_paths([str(tmp_path)])
-        assert len(reports) == len(paths) == len(GOLDEN_SCENARIOS) + 1 == 11
+        assert len(reports) == len(paths) == len(GOLDEN_SCENARIOS) + 1 == 12
         assert sorted(r.scenario_name for r in reports) == sorted(
             golden_names()
         )
@@ -322,6 +323,31 @@ class TestReplayClean:
         assert not drifted, "\n\n".join(
             r.render() for r in reports if not r.ok
         )
+
+    def test_rollback_window_carry_is_pinned(self):
+        # A committed golden holds a corrupting fault inside a rollback
+        # window: the restored state is corrupted and the corruption is
+        # carried into the next attempt.
+        header, events = read_golden(
+            str(Path(default_golden_dir()) / "adaptive-scp-rollback-overhead.jsonl")
+        )
+        assert header.scenario["faults_during_overhead"] is True
+        assert header.scenario["task"]["costs"]["rollback_cycles"] > 0
+        pending = []
+        carried = []
+        for event in events:
+            if event.kind == "fault":
+                pending.append(event.payload)
+            elif event.kind == "segment":
+                if event.payload["label"] == "rollback":
+                    carried.extend(
+                        fault for fault in pending
+                        if fault["corrupting"]
+                        and event.payload["start"] < fault["time"]
+                        <= event.payload["end"]
+                    )
+                pending = []
+        assert carried
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +412,21 @@ class TestDriftLocalisation:
         assert "[unfinished]" in report.timeline
 
     def test_fast_path_only_drift_is_reported(self, tmp_path, monkeypatch):
-        """Traced loop clean, fused loop perturbed → FAST-PATH DRIFT."""
+        """Recorded run clean, unrecorded execute_once perturbed →
+        FAST-PATH DRIFT."""
         path = _record_one(tmp_path)
-        original = executor_mod._execute_fast
+        # The module, not the package's ``replay`` function.
+        replay_mod = importlib.import_module("repro.goldens.replay")
+        original = replay_mod.execute_once
 
         def perturbed(*args, **kwargs):
-            state, energy, failure = original(*args, **kwargs)
-            return state, energy * 1.0000001, failure
+            outcome = original(*args, **kwargs)
+            outcome.energy *= 1.0000001
+            return outcome
 
-        monkeypatch.setattr(executor_mod, "_execute_fast", perturbed)
+        monkeypatch.setattr(replay_mod, "execute_once", perturbed)
         report = replay(path)
-        assert report.divergence is None  # traced replay matched
+        assert report.divergence is None  # recorded replay matched
         assert report.fast_diffs
         assert not report.ok
         assert [field for field, _e, _a in report.fast_diffs] == ["energy"]

@@ -534,6 +534,31 @@ class TestHostileClients:
             assert response.startswith(b"HTTP/1.1 400"), value
         assert fetch_stats(service_url)["submissions"] == 0
 
+    @pytest.mark.parametrize(
+        "path", [b"/studies", b"/studies?stream=1"], ids=["plain", "stream"]
+    )
+    def test_malformed_numbers_are_a_clean_400(self, service_url, path):
+        """Non-finite numbers, and values the model rejects while the
+        spec expands its cells, get a 400 on both endpoints — never a
+        dropped connection or a 500."""
+        bodies = (
+            b'{"kind":"row","table":"1a","u":0.76,"lam":Infinity,"reps":4}',
+            b'{"kind":"row","table":"1a","u":0.76,"lam":1e300,"reps":4}',
+            b'{"kind":"row","table":"1a","u":NaN,"lam":0.0014,"reps":4}',
+            b'{"kind":"row","table":"1a","u":0.76,"lam":-0.001,"reps":4}',
+        )
+        for body in bodies:
+            response = _raw_http(
+                service_url,
+                b"POST " + path + b" HTTP/1.1\r\n"
+                b"Host: test\r\nConnection: close\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+                + body,
+            )
+            assert response.startswith(b"HTTP/1.1 400"), (body, response)
+        assert fetch_stats(service_url)["submissions"] == 0
+
     def test_admission_bound_rejects_with_503_and_retry_after(
         self, tmp_path, monkeypatch
     ):
