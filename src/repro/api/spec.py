@@ -331,9 +331,9 @@ class StudySpec:
             raise ConfigurationError(
                 f"freqs must all be > 0, got {self.freqs!r}"
             )
-        if self.kind == "frontier" and any(m < 1 for m in self.ms):
+        if any(m < 1 for m in self.ms):
             raise ConfigurationError(
-                f"a 'frontier' study needs checkpoint counts >= 1 in ms, "
+                f"a {self.kind!r} study needs checkpoint counts >= 1 in ms, "
                 f"got {self.ms!r}"
             )
         if self.fast_static and self.kind in ("fixed_m", "rate_factor"):

@@ -6,7 +6,8 @@ Usage (installed as ``repro`` or via ``python -m repro``)::
     repro run spec.json --out r.json    # run a declarative StudySpec
     repro validate --reps 500           # all 8 tables + shape criteria
     repro demo --scheme A_D_S           # trace one simulated run
-    repro record-golden                 # stamp reference traces
+    repro record-golden                 # re-record reference traces,
+                                        # print an event-level diff
     repro replay tests/goldens          # drift-check every trace under
                                         # it (first diverging event,
                                         # exit 1)
@@ -152,8 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_record = sub.add_parser(
         "record-golden",
         help=(
-            "record the curated golden traces (executor matrix and "
-            "taskset trace)"
+            "re-record the curated golden traces (executor matrix and "
+            "taskset trace) and print a per-file, event-level diff of "
+            "what changed (review it before committing; see README "
+            "'Regeneration policy')"
         ),
     )
     p_record.add_argument(
@@ -161,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "directory to write the golden JSONL files into (default: "
-            "the checkout's tests/goldens/)"
+            "golden directory to re-record in place (default: the "
+            "checkout's tests/goldens/); a golden it does not hold yet "
+            "is recorded as new"
         ),
     )
     p_record.add_argument(
@@ -172,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "record only this curated golden (repeatable; default: "
+            "re-record only this curated golden (repeatable; default: "
             "all of them)"
         ),
     )
@@ -187,18 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help=(
             "replay golden traces against the current tree; report the "
-            "first diverging event"
+            "first diverging event (never writes a golden; re-record "
+            "with record-golden)"
         ),
     )
     p_replay.add_argument(
         "paths",
-        nargs="*",
+        nargs="+",
         metavar="PATH",
         help=(
             "golden trace files of either kind (executor or taskset), "
-            "or directories searched recursively for *.jsonl goldens; "
-            "defaults to the checkout's tests/goldens/ with "
-            "--update-goldens"
+            "or directories searched recursively for *.jsonl goldens"
         ),
     )
     p_replay.add_argument(
@@ -206,16 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the full drift report to this file",
-    )
-    p_replay.add_argument(
-        "--update-goldens",
-        action="store_true",
-        help=(
-            "re-record the curated goldens (executor matrix and taskset "
-            "trace) in place and print a per-file, event-level diff of "
-            "what changed (for review before committing; see README "
-            "'Regenerating goldens')"
-        ),
     )
 
     p_worker = sub.add_parser(
@@ -1005,45 +998,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_record_golden(args: argparse.Namespace) -> int:
-    from repro.goldens import (
-        default_golden_dir,
-        golden_names,
-        read_golden,
-        record_matrix,
-    )
+    from repro.goldens import golden_names, update_goldens
 
     if args.list_scenarios:
         for name in golden_names():
             print(name)
         return 0
-    directory = args.dir if args.dir is not None else default_golden_dir()
-    paths = record_matrix(directory, names=args.scenarios)
-    for path in paths:
-        _header, events = read_golden(path)
-        print(f"recorded {path} ({len(events)} events)")
-    return 0
-
-
-def _cmd_update_goldens(args: argparse.Namespace) -> int:
-    """``repro replay --update-goldens``: re-record + reviewable diff."""
-    import os
-
-    from repro.goldens import default_golden_dir, update_goldens
-
-    directory = args.paths[0] if args.paths else default_golden_dir()
-    if len(args.paths) > 1 or (args.paths and not os.path.isdir(directory)):
-        print(
-            "error: --update-goldens takes at most one golden *directory*",
-            file=sys.stderr,
-        )
-        return 2
-    updates = update_goldens(directory)
-    blocks = [update.render() for update in updates]
-    text = "\n".join(blocks) + "\n"
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    updates = update_goldens(args.dir, names=args.scenarios)
+    for update in updates:
+        print(update.render())
     changed = [u for u in updates if not u.identical]
     if changed:
         print(
@@ -1059,14 +1022,6 @@ def _cmd_update_goldens(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.goldens import replay_paths
 
-    if args.update_goldens:
-        return _cmd_update_goldens(args)
-    if not args.paths:
-        print(
-            "error: replay needs golden paths (or --update-goldens)",
-            file=sys.stderr,
-        )
-        return 2
     reports = replay_paths(args.paths)
     blocks = [report.render() for report in reports]
     text = "\n\n".join(blocks) + "\n"

@@ -30,8 +30,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.core import optimizer
 from repro.core.checkpoints import CheckpointKind
 from repro.core.dvs import SpeedLadder
@@ -476,58 +474,6 @@ class ReplanTable:
             return row
         # Off-table: evaluate at the exact query point.
         return self._eval(remaining_cycles, deadline_left, faults_left)
-
-    def lookup_many(self, remaining_cycles, deadline_left, faults_left):
-        """Vectorised :meth:`lookup` over equal-length arrays.
-
-        Returns a list of ``(frequency, interval_time, m)`` rows, one
-        per query — identical to calling :meth:`lookup` elementwise,
-        but with the bucketing done in NumPy and only cache misses
-        paying for a policy evaluation.  The fast kernel's per-fault
-        replan path.
-        """
-        rc = np.asarray(remaining_cycles, dtype=np.float64)
-        dl = np.asarray(deadline_left, dtype=np.float64)
-        n = rc.shape[0]
-        out = [None] * n
-        if self._resolution:
-            on = (
-                (dl > 0.0)
-                & (dl <= self._deadline)
-                & (rc > 0.0)
-                & (rc <= self._cycles)
-            )
-            i_all = (np.where(on, rc, 0.0) / self._rc_step).astype(np.int64)
-            j_all = (np.where(on, dl, 0.0) / self._dl_step).astype(np.int64)
-            on_l = on.tolist()
-            i_l = i_all.tolist()
-            j_l = j_all.tolist()
-        else:
-            on_l = [False] * n
-            i_l = j_l = None
-        rc_l = rc.tolist()
-        dl_l = dl.tolist()
-        fl_l = np.asarray(faults_left, dtype=np.float64).tolist()
-        memo = self._memo
-        get = memo.get
-        eval_ = self._eval
-        rc_step = self._rc_step
-        dl_step = self._dl_step
-        for p in range(n):
-            if on_l[p]:
-                key = (i_l[p], j_l[p], fl_l[p])
-                row = get(key)
-                if row is None:
-                    row = eval_(
-                        (i_l[p] + 0.5) * rc_step,
-                        (j_l[p] + 0.5) * dl_step,
-                        fl_l[p],
-                    )
-                    memo[key] = row
-            else:
-                row = eval_(rc_l[p], dl_l[p], fl_l[p])
-            out[p] = row
-        return out
 
     def _eval(self, remaining_cycles: float, deadline_left: float,
               faults_left: float):

@@ -2,14 +2,16 @@
 determinism contract.
 
 The executor's bit-identity promise was enforced only by end-of-run
-byte-diffs; this package turns :mod:`repro.sim.trace`'s bit-faithful
-recording into per-event regression checks.  ``repro record-golden``
-stamps reference JSONL traces for a curated scheme × fault-process
-matrix under ``tests/goldens/``; ``repro replay`` re-executes them
-against the current tree and reports the *first diverging event* —
-index, kind, expected-vs-actual payload, surrounding context and a
-rendered timeline — instead of a bare bit-identity failure.  It
-doubles as a user-facing audit tool for replaying production runs.
+byte-diffs; this package turns :mod:`repro.sim.trace`'s ordered
+:class:`~repro.sim.trace.TraceEvent` record into per-event regression
+checks.  ``repro record-golden`` re-records the curated scheme ×
+fault-process matrix (and the taskset trace) as JSONL goldens under
+``tests/goldens/`` and prints an event-level diff against what was
+there before; ``repro replay`` re-executes goldens against the current
+tree, writes nothing, and reports the *first diverging event* — index,
+kind, expected-vs-actual payload, surrounding context and a rendered
+timeline — instead of a bare bit-identity failure.  It doubles as a
+user-facing audit tool for replaying production runs.
 
 It is the one trace engine of the repository: the multi-task EDF
 engine's golden (:mod:`repro.goldens.taskset`, format tag
@@ -17,7 +19,6 @@ engine's golden (:mod:`repro.goldens.taskset`, format tag
 reports, and ``repro replay`` picks the kind from each file's header.
 """
 
-from repro.goldens.events import RecordingRecorder, TraceEvent, payload_diff
 from repro.goldens.replay import (
     Divergence,
     DivergenceRecorder,
@@ -26,7 +27,6 @@ from repro.goldens.replay import (
     default_golden_dir,
     golden_names,
     record_golden,
-    record_matrix,
     record_taskset_golden,
     replay,
     replay_paths,
@@ -47,6 +47,7 @@ from repro.goldens.trace_io import (
     TraceHeader,
     read_golden,
 )
+from repro.sim.trace import TraceEvent, payload_diff
 
 __all__ = [
     "FORMAT",
@@ -57,7 +58,6 @@ __all__ = [
     "GoldenScenario",
     "GoldenUpdate",
     "JsonlTraceWriter",
-    "RecordingRecorder",
     "TASKSET_FORMAT",
     "TraceEvent",
     "TraceHeader",
@@ -66,7 +66,6 @@ __all__ = [
     "payload_diff",
     "read_golden",
     "record_golden",
-    "record_matrix",
     "record_taskset_golden",
     "replay",
     "replay_paths",

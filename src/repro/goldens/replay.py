@@ -5,14 +5,16 @@ the header's ``format`` tag.
 
 Executor traces (``repro.golden-trace/1``): :func:`record_golden` runs
 a scenario through :func:`~repro.sim.executor.simulate_run` with the
-golden writer as its recorder and streams every trace callback (plus
-the final ``result`` summary) to a JSONL golden file.  :func:`replay` re-executes the scenario against the current
-tree with a :class:`DivergenceRecorder` that compares events online:
-the moment a callback disagrees with the golden — in kind or in any
-bit of any float — the run halts and the :class:`DriftReport` names
-the inflection point (event index, kind, expected-vs-actual fields)
-with the surrounding events and a rendered timeline excerpt, instead
-of the bare "bit-identity failed" an end-of-run byte-diff gives.  The
+golden writer as its recorder and streams every trace event (plus the
+final ``result`` summary) to a JSONL golden file.  :func:`replay`
+re-executes the scenario against the current tree with a
+:class:`DivergenceRecorder`, a :class:`~repro.sim.trace.Trace` that
+compares each event as it appends it: the moment an event disagrees
+with the golden — in kind or in any bit of any float — the run halts
+and the :class:`DriftReport` names the inflection point (event index,
+kind, expected-vs-actual fields) with the surrounding events and a
+rendered timeline excerpt, instead of the bare "bit-identity failed"
+an end-of-run byte-diff gives.  The
 recorded run goes through the executor's one interval loop, the loop
 every Monte-Carlo cell runs.  A replay that matches event-for-event
 additionally re-runs the scenario unrecorded through
@@ -25,6 +27,10 @@ one rep of the EDF workload engine; replay re-runs it, compares the
 header's ``selection`` first and then the ``job``/``summary`` events,
 and reports through the same :class:`Divergence` and
 :class:`DriftReport`.
+
+:func:`update_goldens` (``repro record-golden``) re-records the curated
+goldens of both kinds and reports, event by event, what changed;
+replay never writes a golden.
 """
 
 from __future__ import annotations
@@ -36,10 +42,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.results import git_describe
-from repro.core.checkpoints import CheckpointKind
 from repro.errors import ConfigurationError
 from repro.goldens import taskset
-from repro.goldens.events import RecordingRecorder, TraceEvent, payload_diff
 from repro.goldens.scenarios import GOLDEN_SCENARIOS, GoldenScenario
 from repro.goldens.trace_io import (
     FORMAT,
@@ -49,7 +53,7 @@ from repro.goldens.trace_io import (
     read_golden,
 )
 from repro.sim.executor import RunOutcome, RunResult, execute_once, simulate_run
-from repro.sim.trace import TeeRecorder, Trace, TraceRecorder
+from repro.sim.trace import Trace, TraceEvent, payload_diff
 
 __all__ = [
     "Divergence",
@@ -59,7 +63,6 @@ __all__ = [
     "default_golden_dir",
     "golden_names",
     "record_golden",
-    "record_matrix",
     "record_taskset_golden",
     "replay",
     "replay_paths",
@@ -141,14 +144,6 @@ def record_golden(scen: GoldenScenario, directory: str) -> str:
     return path
 
 
-def record_matrix(
-    directory: str, names: Optional[Sequence[str]] = None
-) -> List[str]:
-    """Record every curated golden of both kinds — the executor matrix
-    and the taskset trace — (or a named subset); return the paths."""
-    return [record(directory) for _name, _path, record in _curated(names)]
-
-
 def golden_names() -> Tuple[str, ...]:
     """The curated golden names of both kinds, in recording order."""
     return tuple(name for name, _path, _record in _curated())
@@ -167,7 +162,7 @@ def record_taskset_golden(path: str) -> str:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with JsonlTraceWriter(path, header) as writer:
         for event in events:
-            writer.write(event)
+            writer.emit(event)
     return path
 
 
@@ -245,21 +240,21 @@ class Divergence:
         return payload_diff(self.expected.payload, self.actual.payload)
 
 
-class DivergenceRecorder(TraceRecorder):
-    """Compares the replayed run to the golden's events, online.
+class DivergenceRecorder(Trace):
+    """A :class:`~repro.sim.trace.Trace` that compares the replayed run
+    to the golden's events, online.
 
-    Each callback is normalised through the same
-    :class:`~repro.goldens.events.RecordingRecorder` the writer used
-    (events of a finished re-run go straight to :meth:`observe`),
-    compared bit-exactly against the next expected event, and — on the
-    first disagreement — stored as :attr:`divergence` before
-    :class:`DivergenceHalt` aborts the run (there is nothing left to
-    learn from the rest of a diverged execution).
+    Each event is appended (so the rendered timeline ends at the
+    diverging event), then compared bit-exactly against the next
+    expected event; the first disagreement is stored as
+    :attr:`divergence` before :class:`DivergenceHalt` aborts the run
+    (there is nothing left to learn from the rest of a diverged
+    execution).
     """
 
     def __init__(self, expected: Sequence[TraceEvent]) -> None:
+        super().__init__()
         self._expected = list(expected)
-        self._normaliser = RecordingRecorder()
         self.matched = 0
         self.divergence: Optional[Divergence] = None
 
@@ -276,50 +271,23 @@ class DivergenceRecorder(TraceRecorder):
             )
         return self.divergence
 
-    def _check(self) -> None:
-        self.observe(self._normaliser.events.pop())
-
-    def observe(self, actual: TraceEvent) -> None:
-        """Compare the next replayed event; halt at the first divergence."""
+    def emit(self, event: TraceEvent) -> None:
+        """Append the next replayed event, then compare it; halt at the
+        first divergence."""
+        super().emit(event)
         index = self.matched
         if index >= len(self._expected):
             self.divergence = Divergence(
-                index=index, reason="extra-event", expected=None, actual=actual
+                index=index, reason="extra-event", expected=None, actual=event
             )
             raise DivergenceHalt()
         expected = self._expected[index]
-        if not expected.same_values(actual):
+        if not expected.same_values(event):
             self.divergence = Divergence(
-                index=index, reason="mismatch", expected=expected, actual=actual
+                index=index, reason="mismatch", expected=expected, actual=event
             )
             raise DivergenceHalt()
         self.matched += 1
-
-    def segment(
-        self, label: str, frequency: float, start: float, end: float, cycles: float
-    ) -> None:
-        self._normaliser.segment(label, frequency, start, end, cycles)
-        self._check()
-
-    def checkpoint(self, time: float, kind: CheckpointKind) -> None:
-        self._normaliser.checkpoint(time, kind)
-        self._check()
-
-    def fault(self, time: float, *, corrupting: bool) -> None:
-        self._normaliser.fault(time, corrupting=corrupting)
-        self._check()
-
-    def rollback(self, time: float, committed_cycles: float) -> None:
-        self._normaliser.rollback(time, committed_cycles)
-        self._check()
-
-    def speed(self, time: float, frequency: float) -> None:
-        self._normaliser.speed(time, frequency)
-        self._check()
-
-    def finish(self, time: float, *, completed: bool, timely: bool) -> None:
-        self._normaliser.finish(time, completed=completed, timely=timely)
-        self._check()
 
 
 #: Events shown on each side of the inflection point in reports.
@@ -453,18 +421,15 @@ def _replay_run(
         )
 
     recorder = DivergenceRecorder(callback_events)
-    trace = Trace()
     result: Optional[RunResult] = None
     try:
-        # The Trace runs *before* the comparer in the tee, so the
-        # rendered excerpt includes the diverging event itself.
         result = simulate_run(
             scen.task,
             scen.build_policy(),
             scen.faults,
             rng=scen.generator(),
             faults_during_overhead=scen.faults_during_overhead,
-            recorder=TeeRecorder(trace, recorder),
+            recorder=recorder,
         )
     except DivergenceHalt:
         pass
@@ -514,7 +479,7 @@ def _replay_run(
             if divergence is not None
             else ()
         ),
-        timeline=trace.render() if divergence is not None else None,
+        timeline=recorder.render() if divergence is not None else None,
     )
 
 
@@ -535,7 +500,7 @@ def _replay_taskset(
     if recorded.same_values(current):
         try:
             for event in actual:
-                recorder.observe(event)
+                recorder.emit(event)
         except DivergenceHalt:
             pass
         divergence = recorder.outcome()
@@ -681,8 +646,8 @@ def _diff_events(
 def update_goldens(
     directory: Optional[str] = None, names: Optional[Sequence[str]] = None
 ) -> List[GoldenUpdate]:
-    """Re-record the curated goldens of both kinds in place; report
-    what changed.
+    """Re-record the curated goldens of both kinds (or the ``names``
+    subset) in place; report what changed.  ``repro record-golden``.
 
     The reviewable half of an *intentional* contract change: where
     :func:`replay` treats any divergence as drift, this regenerates
@@ -690,7 +655,8 @@ def update_goldens(
     (``directory`` defaults to the checkout's ``tests/goldens/``) —
     and returns a per-file, event-level :class:`GoldenUpdate`, so the
     diff a maintainer commits is the diff they reviewed.  Old events
-    are read *before* the re-record overwrites the file.
+    are read *before* the re-record overwrites the file; a golden the
+    directory does not hold yet is recorded and reported as created.
     """
     target = directory if directory is not None else default_golden_dir()
     updates: List[GoldenUpdate] = []

@@ -24,10 +24,10 @@ from typing import Dict, List, Tuple
 
 from repro.core.checkpoints import CostModel
 from repro.errors import ConfigurationError
-from repro.goldens.events import TraceEvent
 from repro.rts.generators import WorkloadParams
 from repro.rts.scheduler import simulate_schedule
 from repro.sim.energy import EnergyModel
+from repro.sim.trace import TraceEvent
 from repro.workloads.engine import TasksetCellJob, _rep_seed
 
 __all__ = [

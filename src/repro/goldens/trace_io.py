@@ -30,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO, Tuple
 
-from repro.api.results import git_describe, json_dumps_exact, json_loads_exact
-from repro.core.checkpoints import CheckpointKind
+from repro.api.results import json_dumps_exact, json_loads_exact
 from repro.errors import ConfigurationError
-from repro.goldens.events import EVENT_KINDS, RecordingRecorder, TraceEvent
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
+    "EVENT_KINDS",
     "FORMAT",
     "FORMATS",
     "TASKSET_FORMAT",
@@ -50,6 +49,18 @@ FORMAT = "repro.golden-trace/1"
 
 #: Taskset-trace format tag (the multi-task EDF engine's golden).
 TASKSET_FORMAT = "repro.taskset-trace/1"
+
+#: Every kind an executor golden may contain, in no particular order.
+#: ``result`` is written by the recording harness, not the executor.
+EVENT_KINDS = (
+    "segment",
+    "checkpoint",
+    "fault",
+    "rollback",
+    "speed",
+    "finish",
+    "result",
+)
 
 #: Every format tag this build reads, with the event kinds its body
 #: may hold.
@@ -123,29 +134,20 @@ class TraceHeader:
 class JsonlTraceWriter(TraceRecorder):
     """Streams trace events to a JSONL golden file of either kind.
 
-    A :class:`~repro.sim.trace.TraceRecorder`: pass it straight to
-    :func:`~repro.sim.executor.simulate_run` (alone or inside a
-    :class:`~repro.sim.trace.TeeRecorder`) and call :meth:`result`
-    with the finished run's payload; or append ready-made events with
-    :meth:`write`.  Then :meth:`close` — the end sentinel
-    is only written on close, so an interrupted recording is
-    detectably truncated rather than silently short.  Usable as a
-    context manager.
+    A :class:`~repro.sim.trace.TraceRecorder` whose :meth:`emit` writes
+    one line: pass it straight to :func:`~repro.sim.executor.
+    simulate_run` and call :meth:`result` with the finished run's
+    payload, or :meth:`emit` ready-made events.  Then :meth:`close` —
+    the end sentinel is only written on close, so an interrupted
+    recording is detectably truncated rather than silently short.
+    Usable as a context manager.
     """
 
     def __init__(self, path: str, header: TraceHeader) -> None:
         self.path = path
         self._count = 0
-        self._recorder = RecordingRecorder()
         self._handle: Optional[TextIO] = open(path, "w", encoding="utf-8")
         self._write_line(header.to_dict())
-
-    # -- recorder callbacks: normalise via RecordingRecorder ----------
-
-    def _flush_events(self) -> None:
-        for event in self._recorder.events:
-            self.write(event)
-        self._recorder.events.clear()
 
     def _write_line(self, record: Dict[str, object]) -> None:
         if self._handle is None:
@@ -154,42 +156,14 @@ class JsonlTraceWriter(TraceRecorder):
             )
         self._handle.write(json_dumps_exact(record) + "\n")
 
-    def segment(
-        self, label: str, frequency: float, start: float, end: float, cycles: float
-    ) -> None:
-        self._recorder.segment(label, frequency, start, end, cycles)
-        self._flush_events()
-
-    def checkpoint(self, time: float, kind: CheckpointKind) -> None:
-        self._recorder.checkpoint(time, kind)
-        self._flush_events()
-
-    def fault(self, time: float, *, corrupting: bool) -> None:
-        self._recorder.fault(time, corrupting=corrupting)
-        self._flush_events()
-
-    def rollback(self, time: float, committed_cycles: float) -> None:
-        self._recorder.rollback(time, committed_cycles)
-        self._flush_events()
-
-    def speed(self, time: float, frequency: float) -> None:
-        self._recorder.speed(time, frequency)
-        self._flush_events()
-
-    def finish(self, time: float, *, completed: bool, timely: bool) -> None:
-        self._recorder.finish(time, completed=completed, timely=timely)
-        self._flush_events()
-
-    # -- harness-level records ----------------------------------------
-
-    def write(self, event: TraceEvent) -> None:
+    def emit(self, event: TraceEvent) -> None:
         """Append one event record."""
         self._write_line(event.to_dict())
         self._count += 1
 
     def result(self, payload: Dict[str, object]) -> None:
         """Write the end-of-run ``result`` record (RunResult summary)."""
-        self.write(TraceEvent("result", dict(payload)))
+        self.emit(TraceEvent("result", dict(payload)))
 
     def close(self) -> None:
         if self._handle is None:
@@ -197,10 +171,6 @@ class JsonlTraceWriter(TraceRecorder):
         self._write_line({"kind": "end", "events": self._count})
         self._handle.close()
         self._handle = None
-
-    @property
-    def events_written(self) -> int:
-        return self._count
 
     def __enter__(self) -> "JsonlTraceWriter":
         return self

@@ -119,6 +119,9 @@ DEFAULT_BATCH_SIZE = 4
 DEFAULT_MAX_RETRIES = 3
 #: Seconds between coordinator pings on an idle worker link.
 DEFAULT_HEARTBEAT = 5.0
+#: Seconds the coordinator's own lane waits for local work between
+#: straggler scans while a batch runs.
+_POLL_INTERVAL = 0.05
 #: Seconds of silence after which a worker exits its serve loop.
 DEFAULT_IDLE_TIMEOUT = 120.0
 #: Default :meth:`Coordinator.wait_for_workers` timeout (seconds).
@@ -524,8 +527,6 @@ class Coordinator:
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        heartbeat: float = DEFAULT_HEARTBEAT,
-        poll_interval: float = 0.05,
         secret: Optional[bytes] = None,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
         tls: Optional[TLSConfig] = None,
@@ -578,8 +579,6 @@ class Coordinator:
         #: same-kind tasks instead of ``batch_size``.  Dispatch-only —
         #: results are bit-identical whatever the claim size.
         self.dispatch_stats = DispatchStats()
-        self.heartbeat = float(heartbeat)
-        self.poll_interval = float(poll_interval)
         self._secret = _default_secret() if secret is None else secret
         host, port = parse_url(url)
         if host not in _LOOPBACK_HOSTS and not self._secret:
@@ -697,7 +696,7 @@ class Coordinator:
                         self._scan_stragglers_locked()
                         local = self._take_local_locked()
                         if not local:
-                            self._cond.wait(self.poll_interval)
+                            self._cond.wait(_POLL_INTERVAL)
                             self._scan_stragglers_locked()
                             local = self._take_local_locked()
                     for index in local:
@@ -763,7 +762,7 @@ class Coordinator:
     def _serve_link(self, sock: socket.socket) -> None:
         link: Optional[_Link] = None
         try:
-            sock.settimeout(self.heartbeat * 4)
+            sock.settimeout(DEFAULT_HEARTBEAT * 4)
             if self._ssl_context is not None:
                 # TLS first, HMAC inside it: a peer that cannot
                 # complete the TLS handshake (no cert, wrong CA,
@@ -801,7 +800,7 @@ class Coordinator:
                 if not batch:
                     # Idle: heartbeat so dead peers surface and live
                     # workers' idle clocks keep resetting.
-                    sock.settimeout(self.heartbeat * 4)
+                    sock.settimeout(DEFAULT_HEARTBEAT * 4)
                     link.send(("ping",))
                     while _recv_msg(sock)[0] != "pong":
                         pass
@@ -836,7 +835,7 @@ class Coordinator:
 
     def _claim(self, link: _Link) -> Optional[Tuple[int, List[Tuple[int, BlockTask]]]]:
         """Next batch for ``link``: None to stop, [] to heartbeat."""
-        deadline = time.monotonic() + self.heartbeat
+        deadline = time.monotonic() + DEFAULT_HEARTBEAT
         with self._cond:
             while True:
                 if self._closed:

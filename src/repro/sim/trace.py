@@ -1,106 +1,196 @@
 """Execution traces: optional structured recording of a simulated run.
 
 A :class:`TraceRecorder` receives callbacks from the executor (time
-segments, checkpoints, faults, rollbacks, speed changes).  The default
-:data:`NULL_RECORDER` ignores everything at near-zero cost; pass a
-:class:`Trace` to capture the full history, inspect it programmatically
-or render a compact ASCII timeline for debugging and the examples.
+segments, checkpoints, faults, rollbacks, speed changes, the finish).
+Each callback builds one :class:`TraceEvent` — a kind tag and a flat
+payload of JSON-safe scalars — and hands it to :meth:`TraceRecorder.
+emit`, the one hook a recorder overrides.  The default
+:data:`NULL_RECORDER` drops every event, and the executor skips its
+callbacks altogether when it is attached, so an untraced run builds no
+event.  A :class:`Trace` keeps the ordered event list (the shape a
+golden file stores and :mod:`repro.goldens` replays), exposes typed
+views of it, and renders a compact ASCII timeline for debugging and
+the examples.
+
+Equality between events is *bit-exact* on floats (NaN equals NaN,
+``-0.0`` differs from ``0.0``), so a replay can call two runs identical
+event by event and name the first event where they are not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.checkpoints import CheckpointKind
 
 __all__ = [
+    "TraceEvent",
     "TraceRecorder",
-    "NullRecorder",
     "NULL_RECORDER",
-    "TeeRecorder",
     "Trace",
     "SegmentRecord",
     "CheckpointRecord",
     "FaultRecord",
     "RollbackRecord",
     "SpeedRecord",
+    "same_scalar",
+    "payload_diff",
 ]
 
 
+def same_scalar(a: object, b: object) -> bool:
+    """Bit-exact scalar equality: NaN == NaN, ``-0.0`` != ``0.0``.
+
+    Non-float values fall back to ``==`` with a type guard (so ``1``
+    and ``1.0`` — an int smuggled where a float belongs — do not
+    compare equal and mask a codec bug).
+    """
+    if isinstance(a, float) or isinstance(b, float):
+        if not (isinstance(a, float) and isinstance(b, float)):
+            return False
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(
+            same_scalar(x, y) for x, y in zip(a, b)
+        )
+    return a == b
+
+
+def payload_diff(
+    expected: Dict[str, object], actual: Dict[str, object]
+) -> List[Tuple[str, object, object]]:
+    """Fields whose values differ, as ``(field, expected, actual)``.
+
+    Fields present on only one side appear with the sentinel string
+    ``"<absent>"`` on the other.
+    """
+    diffs: List[Tuple[str, object, object]] = []
+    for field in list(expected) + [f for f in actual if f not in expected]:
+        if field not in expected:
+            diffs.append((field, "<absent>", actual[field]))
+        elif field not in actual:
+            diffs.append((field, expected[field], "<absent>"))
+        elif not same_scalar(expected[field], actual[field]):
+            diffs.append((field, expected[field], actual[field]))
+    return diffs
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """One recorder callback (or a harness-level record), flattened."""
+
+    kind: str
+    payload: Dict[str, object]
+
+    def same_values(self, other: "TraceEvent") -> bool:
+        """Kind and payload identity, bit-exact on floats."""
+        return (
+            self.kind == other.kind
+            and not payload_diff(self.payload, other.payload)
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        record: Dict[str, object] = {"kind": self.kind}
+        record.update(self.payload)
+        return record
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, object]) -> "TraceEvent":
+        payload = dict(record)
+        kind = payload.pop("kind")
+        return cls(kind=kind, payload=payload)
+
+    def describe(self) -> str:
+        """One-line human rendering, ``kind(field=value, ...)``."""
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.payload.items())
+        return f"{self.kind}({fields})"
+
+
 class TraceRecorder:
-    """Callback interface; all methods default to no-ops."""
+    """Callback interface: each callback builds one event for :meth:`emit`.
+
+    The callbacks are the single normalisation point — what a callback
+    serialises as is defined here once.  Subclasses override
+    :meth:`emit`; the base class drops every event.
+    """
+
+    def emit(self, event: TraceEvent) -> None:
+        """Receive one event, in run order."""
 
     def segment(
         self, label: str, frequency: float, start: float, end: float, cycles: float
     ) -> None:
         """A contiguous span of execution or overhead."""
+        self.emit(
+            TraceEvent(
+                "segment",
+                {
+                    "label": label,
+                    "frequency": float(frequency),
+                    "start": float(start),
+                    "end": float(end),
+                    "cycles": float(cycles),
+                },
+            )
+        )
 
     def checkpoint(self, time: float, kind: CheckpointKind) -> None:
         """A checkpoint operation completed at ``time``."""
+        self.emit(
+            TraceEvent(
+                "checkpoint", {"time": float(time), "checkpoint": kind.value}
+            )
+        )
 
     def fault(self, time: float, *, corrupting: bool) -> None:
         """A fault arrived (``corrupting`` per the overhead setting)."""
+        self.emit(
+            TraceEvent(
+                "fault", {"time": float(time), "corrupting": bool(corrupting)}
+            )
+        )
 
     def rollback(self, time: float, committed_cycles: float) -> None:
         """A detected fault rolled the pair back."""
+        self.emit(
+            TraceEvent(
+                "rollback",
+                {
+                    "time": float(time),
+                    "committed_cycles": float(committed_cycles),
+                },
+            )
+        )
 
     def speed(self, time: float, frequency: float) -> None:
         """The DVS policy (re)selected a speed."""
+        self.emit(
+            TraceEvent(
+                "speed", {"time": float(time), "frequency": float(frequency)}
+            )
+        )
 
     def finish(self, time: float, *, completed: bool, timely: bool) -> None:
         """The run terminated."""
-
-
-class NullRecorder(TraceRecorder):
-    """Explicitly does nothing (singleton :data:`NULL_RECORDER`)."""
-
-
-NULL_RECORDER = NullRecorder()
-
-
-class TeeRecorder(TraceRecorder):
-    """Fans every callback out to several recorders, in order.
-
-    Lets one run feed independent consumers — e.g. a golden-trace
-    writer plus a :class:`Trace` for rendering — without the executor
-    knowing about either.  A child that raises aborts the fan-out (the
-    divergence recorder of :mod:`repro.goldens` relies on this: earlier
-    children have already seen the event, later ones have not).
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, *children: TraceRecorder) -> None:
-        self._children = tuple(
-            child for child in children if child is not NULL_RECORDER
+        self.emit(
+            TraceEvent(
+                "finish",
+                {
+                    "time": float(time),
+                    "completed": bool(completed),
+                    "timely": bool(timely),
+                },
+            )
         )
 
-    def segment(
-        self, label: str, frequency: float, start: float, end: float, cycles: float
-    ) -> None:
-        for child in self._children:
-            child.segment(label, frequency, start, end, cycles)
 
-    def checkpoint(self, time: float, kind: CheckpointKind) -> None:
-        for child in self._children:
-            child.checkpoint(time, kind)
-
-    def fault(self, time: float, *, corrupting: bool) -> None:
-        for child in self._children:
-            child.fault(time, corrupting=corrupting)
-
-    def rollback(self, time: float, committed_cycles: float) -> None:
-        for child in self._children:
-            child.rollback(time, committed_cycles)
-
-    def speed(self, time: float, frequency: float) -> None:
-        for child in self._children:
-            child.speed(time, frequency)
-
-    def finish(self, time: float, *, completed: bool, timely: bool) -> None:
-        for child in self._children:
-            child.finish(time, completed=completed, timely=timely)
+NULL_RECORDER = TraceRecorder()
 
 
 @dataclass(frozen=True)
@@ -140,40 +230,60 @@ class SpeedRecord:
     frequency: float
 
 
-@dataclass
 class Trace(TraceRecorder):
-    """Captures the complete event history of one run."""
+    """Captures the complete event history of one run, in order.
 
-    segments: List[SegmentRecord] = field(default_factory=list)
-    checkpoints: List[CheckpointRecord] = field(default_factory=list)
-    faults: List[FaultRecord] = field(default_factory=list)
-    rollbacks: List[RollbackRecord] = field(default_factory=list)
-    speeds: List[SpeedRecord] = field(default_factory=list)
-    finish_time: Optional[float] = None
-    completed: Optional[bool] = None
-    timely: Optional[bool] = None
+    :attr:`events` is the record; the typed lists and the finish fields
+    are read-only views of it.
+    """
 
-    def segment(
-        self, label: str, frequency: float, start: float, end: float, cycles: float
-    ) -> None:
-        self.segments.append(SegmentRecord(label, frequency, start, end, cycles))
+    def __init__(self) -> None:
+        self.events: List[TraceEvent] = []
 
-    def checkpoint(self, time: float, kind: CheckpointKind) -> None:
-        self.checkpoints.append(CheckpointRecord(time, kind))
+    def emit(self, event: TraceEvent) -> None:
+        self.events.append(event)
 
-    def fault(self, time: float, *, corrupting: bool) -> None:
-        self.faults.append(FaultRecord(time, corrupting))
+    def _payloads(self, kind: str) -> List[Dict[str, object]]:
+        return [event.payload for event in self.events if event.kind == kind]
 
-    def rollback(self, time: float, committed_cycles: float) -> None:
-        self.rollbacks.append(RollbackRecord(time, committed_cycles))
+    @property
+    def segments(self) -> List[SegmentRecord]:
+        return [SegmentRecord(**p) for p in self._payloads("segment")]
 
-    def speed(self, time: float, frequency: float) -> None:
-        self.speeds.append(SpeedRecord(time, frequency))
+    @property
+    def checkpoints(self) -> List[CheckpointRecord]:
+        return [
+            CheckpointRecord(p["time"], CheckpointKind(p["checkpoint"]))
+            for p in self._payloads("checkpoint")
+        ]
 
-    def finish(self, time: float, *, completed: bool, timely: bool) -> None:
-        self.finish_time = time
-        self.completed = completed
-        self.timely = timely
+    @property
+    def faults(self) -> List[FaultRecord]:
+        return [FaultRecord(**p) for p in self._payloads("fault")]
+
+    @property
+    def rollbacks(self) -> List[RollbackRecord]:
+        return [RollbackRecord(**p) for p in self._payloads("rollback")]
+
+    @property
+    def speeds(self) -> List[SpeedRecord]:
+        return [SpeedRecord(**p) for p in self._payloads("speed")]
+
+    def _finish(self, field: str) -> Optional[object]:
+        finishes = self._payloads("finish")
+        return finishes[-1][field] if finishes else None
+
+    @property
+    def finish_time(self) -> Optional[float]:
+        return self._finish("time")
+
+    @property
+    def completed(self) -> Optional[bool]:
+        return self._finish("completed")
+
+    @property
+    def timely(self) -> Optional[bool]:
+        return self._finish("timely")
 
     @property
     def total_overhead_time(self) -> float:
@@ -192,24 +302,26 @@ class Trace(TraceRecorder):
         SCP/CCP/CSCP overhead, ``r`` rollback, ``!`` marks a bucket with
         a corrupting fault.  A header line reports outcome and totals.
         """
-        if not self.segments:
+        segments = self.segments
+        if not segments:
             return "(empty trace)"
-        horizon = max(s.end for s in self.segments)
+        horizon = max(s.end for s in segments)
         if horizon <= 0:
             return "(empty trace)"
         scale = width / horizon
         chars = [" "] * width
         order = {"exec": 0, "scp": 1, "ccp": 1, "cscp": 2, "rollback": 3}
         glyph = {"exec": "=", "scp": "s", "ccp": "c", "cscp": "#", "rollback": "r"}
-        for seg in self.segments:
+        for seg in segments:
             lo = min(width - 1, int(seg.start * scale))
             hi = min(width - 1, int(max(seg.start, seg.end - 1e-12) * scale))
             for i in range(lo, hi + 1):
                 current = chars[i]
                 if current == " " or order.get(seg.label, 0) > _glyph_order(current):
                     chars[i] = glyph.get(seg.label, "?")
+        faults = self.faults
         fault_order = _glyph_order("!")
-        for fault in self.faults:
+        for fault in faults:
             if fault.corrupting:
                 i = min(width - 1, int(fault.time * scale))
                 # Same priority ordering as the segment pass, so the
@@ -228,7 +340,7 @@ class Trace(TraceRecorder):
             )
             header = f"[{outcome}] t={self.finish_time:.1f}"
         header += (
-            f" faults={sum(1 for f in self.faults if f.corrupting)} "
+            f" faults={sum(1 for f in faults if f.corrupting)} "
             f"rollbacks={len(self.rollbacks)} cscp={sum(1 for c in self.checkpoints if c.kind is CheckpointKind.CSCP)}"
         )
         return header + "\n" + "".join(chars)

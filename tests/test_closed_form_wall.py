@@ -1,12 +1,14 @@
 """The closed-form wall: every static cell of Tables 1-4, exact mode
-against its analytic outcome.
+and the fast kernel against its analytic outcome, plus the worst case
+under ``k`` scripted faults.
 
-The exact executor samples each cell; :func:`~repro.core.analysis.
-static_outcome` computes it without sampling.  The two share no code,
-so holding all 104 static cells to the closed form checks fault
-injection, detection, rollback, abandonment, timing and energy at once.
+The exact executor and the vectorised fast kernel sample each cell;
+:func:`~repro.core.analysis.static_outcome` computes it without
+sampling.  It shares no code with either sampler, so holding all 104
+static cells to the closed form checks fault injection, detection,
+rollback, abandonment, timing and energy at once.
 
-Bands:
+Bands (the same for both kernels):
 
 * the timely count lies inside the central ``1 - 1e-4`` exact binomial
   interval of the analytic ``P`` (a normal z would call 2 timely runs
@@ -16,8 +18,17 @@ Bands:
   interval (see :func:`_z` for samples with no spread).
 
 A failure names the worst cell and its statistic.
+
+The worst case has no statistics at all.  A static scheme under ``k``
+faults finishes latest when each fault lands just before the first
+interval's closing CSCP, on successive retries: each costs the interval
+``L``, its CSCP ``C`` and the rollback ``t_r`` (the hard-deadline
+setting of Aupy et al., arXiv:1302.3720).  The exact executor must
+finish at ``k·(L + C + t_r) + W + n·C`` wherever that meets the
+deadline.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -25,6 +36,9 @@ import pytest
 from repro.api.plans import table_cells
 from repro.core.analysis import static_expected_time, static_outcome
 from repro.experiments.config import all_table_specs
+from repro.sim.executor import simulate_run
+from repro.sim.faults import PoissonFaults, ScriptedFaults
+from repro.sim.kernel import kernel_supported
 from repro.sim.metrics import _z_value
 from repro.sim.parallel import BatchRunner
 
@@ -59,6 +73,25 @@ def wall():
     ]
 
 
+@pytest.fixture(scope="module")
+def fast_jobs():
+    """Every static cell's exact-mode job, switched to the fast kernel."""
+    return [
+        dataclasses.replace(plan.job, kernel="fast")
+        for _, plan in _static_cells(fast_static=False)
+    ]
+
+
+@pytest.fixture(scope="module")
+def fast_wall(wall, fast_jobs):
+    """(label, fast-kernel estimate, analytic estimate, analytic job)."""
+    sampled = BatchRunner.serial().run_cells(fast_jobs)
+    return [
+        (label, ours, theirs, job)
+        for (label, _exact, theirs, job), ours in zip(wall, sampled)
+    ]
+
+
 def _binomial_tails(successes, trials, p):
     """P(X <= successes) and P(X >= successes) for X ~ Bin(trials, p)."""
     pmf = [
@@ -86,11 +119,11 @@ def test_covers_every_static_cell(wall):
     assert len(wall) == 104
 
 
-def test_timely_counts_inside_exact_binomial_interval(wall):
+def _assert_timely_counts_in_band(cells):
     worst = None
-    for label, exact, analytic, _job in wall:
-        successes = round(exact.p * exact.reps)
-        lower, upper = _binomial_tails(successes, exact.reps, analytic.p)
+    for label, sampled, analytic, _job in cells:
+        successes = round(sampled.p * sampled.reps)
+        lower, upper = _binomial_tails(successes, sampled.reps, analytic.p)
         tail = min(lower, upper)
         if worst is None or tail < worst[0]:
             worst = (tail, label, successes, analytic.p)
@@ -101,11 +134,10 @@ def test_timely_counts_inside_exact_binomial_interval(wall):
     )
 
 
-@pytest.mark.parametrize("field", ["energy_all", "energy_timely"])
-def test_energies_within_standard_errors(wall, field):
+def _assert_energies_in_band(cells, field):
     worst = (0.0, None)
-    for label, exact, analytic, _job in wall:
-        sample = getattr(exact, field)
+    for label, sampled, analytic, _job in cells:
+        sample = getattr(sampled, field)
         if field == "energy_timely" and sample.count < 30:
             continue
         z = _z(sample, getattr(analytic, field).value)
@@ -113,6 +145,63 @@ def test_energies_within_standard_errors(wall, field):
             worst = (z, label)
     z, label = worst
     assert abs(z) <= MAX_Z, f"{label}: {field} is {z:+.2f} standard errors off"
+
+
+def test_timely_counts_inside_exact_binomial_interval(wall):
+    _assert_timely_counts_in_band(wall)
+
+
+@pytest.mark.parametrize("field", ["energy_all", "energy_timely"])
+def test_energies_within_standard_errors(wall, field):
+    _assert_energies_in_band(wall, field)
+
+
+def test_fast_kernel_vectorises_every_static_cell(fast_jobs):
+    # Otherwise the fast wall would check the kernel's exact fallback.
+    assert len(fast_jobs) == 104
+    for job in fast_jobs:
+        faults = job.faults
+        if faults is None:
+            faults = PoissonFaults(job.task.fault_rate)
+        assert kernel_supported(job.task, job.policy_factory(), faults), job
+
+
+def test_fast_kernel_timely_counts_inside_exact_binomial_interval(fast_wall):
+    _assert_timely_counts_in_band(fast_wall)
+
+
+@pytest.mark.parametrize("field", ["energy_all", "energy_timely"])
+def test_fast_kernel_energies_within_standard_errors(fast_wall, field):
+    _assert_energies_in_band(fast_wall, field)
+
+
+def test_static_schemes_meet_the_worst_case_under_k_faults():
+    feasible = 0
+    for label, plan in _static_cells(fast_static=True):
+        job = plan.job
+        schedule = job.schedule()
+        first = schedule.interval_lengths[0]
+        retry = first + schedule.checkpoint_cost + schedule.rollback_cost
+        k = job.task.fault_budget
+        faults = ScriptedFaults(j * retry + first - 1e-6 for j in range(k))
+        result = simulate_run(job.task, job.policy_factory(), faults)
+        worst = (
+            k * retry
+            + schedule.work
+            + schedule.n_intervals * schedule.checkpoint_cost
+        )
+        if worst <= job.task.deadline:
+            feasible += 1
+            assert result.timely, label
+            assert result.finish_time == pytest.approx(worst, rel=0, abs=1e-9), (
+                label
+            )
+            assert result.detected_faults == result.rollbacks == k, label
+            assert result.checkpoints == schedule.n_intervals + k, label
+        else:
+            assert not result.timely, label
+    # Both branches hold cells (60 meet the deadline, 44 do not).
+    assert 0 < feasible < 104
 
 
 def test_each_fast_static_cell_is_the_analytic_outcome(wall):

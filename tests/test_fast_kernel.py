@@ -356,19 +356,6 @@ def test_replan_table_is_fill_order_independent():
     assert a == b
 
 
-def test_replan_table_lookup_many_matches_elementwise_lookup():
-    import numpy as np
-
-    table, task = _table(64)
-    scalar, _ = _table(64)
-    rng = np.random.default_rng(5)
-    rc = rng.uniform(1.0, task.cycles * 1.5, size=40)
-    dl = rng.uniform(-100.0, task.deadline * 1.5, size=40)
-    fl = rng.integers(0, 6, size=40).astype(float)
-    rows = table.lookup_many(rc, dl, fl)
-    assert rows == [scalar.lookup(r, d, f) for r, d, f in zip(rc, dl, fl)]
-
-
 def test_replan_table_for_static_policy_is_none():
     task = _fallback_task()
     assert replan_table_for(PoissonArrivalPolicy(1.0), task) is None

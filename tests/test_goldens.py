@@ -32,16 +32,15 @@ from repro.goldens import (
     FORMAT,
     GOLDEN_SCENARIOS,
     TASKSET_FORMAT,
+    DivergenceRecorder,
     GoldenScenario,
     JsonlTraceWriter,
-    RecordingRecorder,
     TraceEvent,
     TraceHeader,
     default_golden_dir,
     golden_names,
     read_golden,
     record_golden,
-    record_matrix,
     replay,
     replay_paths,
     resolve_golden_paths,
@@ -49,9 +48,9 @@ from repro.goldens import (
     scenario_names,
     update_goldens,
 )
-from repro.goldens.events import payload_diff, same_scalar
 from repro.sim.energy import EnergyModel
-from repro.sim.trace import NULL_RECORDER, TeeRecorder, Trace
+from repro.goldens.replay import DivergenceHalt
+from repro.sim.trace import SpeedRecord, Trace, payload_diff, same_scalar
 
 import repro.sim.executor as executor_mod
 
@@ -105,37 +104,6 @@ class TestEventEquality:
         assert a.same_values(b)
         assert not a.same_values(c)
         assert not a.same_values(TraceEvent("speed", dict(a.payload)))
-
-
-class TestTeeRecorder:
-    def test_fans_out_in_order(self):
-        first, second = RecordingRecorder(), RecordingRecorder()
-        tee = TeeRecorder(first, second)
-        tee.speed(0.0, 2.0)
-        tee.fault(1.0, corrupting=True)
-        assert [e.kind for e in first.events] == ["speed", "fault"]
-        assert [e.kind for e in second.events] == ["speed", "fault"]
-
-    def test_null_children_are_dropped(self):
-        tee = TeeRecorder(NULL_RECORDER, NULL_RECORDER)
-        assert tee._children == ()
-
-    def test_raising_child_aborts_fan_out(self):
-        class Boom(Exception):
-            pass
-
-        class Raiser(RecordingRecorder):
-            def speed(self, time, frequency):
-                raise Boom()
-
-        witness = RecordingRecorder()
-        late = RecordingRecorder()
-        tee = TeeRecorder(witness, Raiser(), late)
-        with pytest.raises(Boom):
-            tee.speed(0.0, 1.0)
-        # Earlier children saw the event; later ones did not.
-        assert [e.kind for e in witness.events] == ["speed"]
-        assert late.events == []
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +171,10 @@ class TestRoundTrip:
 
     def test_writer_is_a_recorder(self, tmp_path):
         # Events written through the TraceRecorder interface match the
-        # RecordingRecorder normalisation exactly.
+        # events a Trace keeps exactly.
         path = str(tmp_path / "t.jsonl")
         header = TraceHeader(scenario=GOLDEN_SCENARIOS[0].to_payload())
-        reference = RecordingRecorder()
+        reference = Trace()
         with JsonlTraceWriter(path, header) as writer:
             for recorder in (writer, reference):
                 recorder.speed(0.0, 2.0)
@@ -301,7 +269,7 @@ class TestScenarios:
 class TestReplayClean:
     def test_fresh_recording_replays_identically(self, tmp_path):
         # Both kinds: the executor matrix plus the taskset trace.
-        paths = record_matrix(str(tmp_path))
+        paths = update_goldens(str(tmp_path))
         reports = replay_paths([str(tmp_path)])
         assert len(reports) == len(paths) == len(GOLDEN_SCENARIOS) + 1 == 12
         assert sorted(r.scenario_name for r in reports) == sorted(
@@ -410,6 +378,18 @@ class TestDriftLocalisation:
         assert report.context
         assert report.timeline is not None
         assert "[unfinished]" in report.timeline
+
+    def test_diverging_event_is_kept_for_the_timeline(self):
+        # The recorder appends before it compares, so the timeline it
+        # renders ends at the diverging event itself.
+        recorder = DivergenceRecorder(
+            [TraceEvent("speed", {"time": 0.0, "frequency": 2.0})]
+        )
+        with pytest.raises(DivergenceHalt):
+            recorder.speed(0.0, 1.0)
+        assert recorder.divergence.reason == "mismatch"
+        assert recorder.matched == 0
+        assert recorder.speeds == [SpeedRecord(0.0, 1.0)]
 
     def test_fast_path_only_drift_is_reported(self, tmp_path, monkeypatch):
         """Recorded run clean, unrecorded execute_once perturbed →
@@ -590,7 +570,7 @@ class TestCli:
              "--scenario", "adaptive-scp-poisson"]
         ) == 0
         out = capsys.readouterr().out
-        assert "recorded" in out
+        assert "new" in out
         assert main(["replay", directory]) == 0
         out = capsys.readouterr().out
         assert "replay identically" in out
@@ -700,7 +680,7 @@ class TestEveryTraceKind:
         copy = tmp_path / "copy.jsonl"
         with JsonlTraceWriter(str(copy), header) as writer:
             for event in events:
-                writer.write(event)
+                writer.emit(event)
         assert copy.read_bytes() == committed.read_bytes()
 
     def test_update_goldens_same_for_every_committed_trace(
@@ -709,7 +689,7 @@ class TestEveryTraceKind:
         committed = Path(default_golden_dir())
         copy = tmp_path / "goldens"
         shutil.copytree(committed, copy)
-        assert main(["replay", "--update-goldens", str(copy)]) == 0
+        assert main(["record-golden", "--dir", str(copy)]) == 0
         out = capsys.readouterr().out
         total = len(list(committed.rglob("*.jsonl")))
         same = [line for line in out.splitlines() if line.startswith("same ")]

@@ -14,7 +14,7 @@ Also covered here (same PR, same execution-configuration seam): the
 the documented one-per-CPU convention and must keep working, while
 ``make_backend("process", workers=0)`` (which has no such convention)
 must be rejected loudly instead of building a broken pool — plus the
-``--kernel`` CLI flag and the ``--update-goldens`` diff reporting.
+``--kernel`` CLI flag and the ``record-golden`` diff reporting.
 """
 
 from __future__ import annotations
@@ -261,11 +261,11 @@ def test_cli_parses_kernel_flag():
 def test_update_goldens_reports_event_level_diffs(tmp_path):
     import json
 
-    from repro.goldens import record_matrix, update_goldens
+    from repro.goldens import update_goldens
 
     name = "adaptive-scp-poisson"
     directory = str(tmp_path)
-    record_matrix(directory, names=[name])
+    update_goldens(directory, names=[name])
     path = os.path.join(directory, f"{name}.jsonl")
 
     # Unchanged tree: the re-record is bit-identical.

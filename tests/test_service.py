@@ -546,6 +546,8 @@ class TestHostileClients:
             b'{"kind":"row","table":"1a","u":0.76,"lam":1e300,"reps":4}',
             b'{"kind":"row","table":"1a","u":NaN,"lam":0.0014,"reps":4}',
             b'{"kind":"row","table":"1a","u":0.76,"lam":-0.001,"reps":4}',
+            b'{"kind":"fixed_m","ms":[0],"reps":4}',
+            b'{"kind":"fixed_m","ms":[2,-1],"reps":4}',
         )
         for body in bodies:
             response = _raw_http(
