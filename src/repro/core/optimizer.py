@@ -14,12 +14,21 @@ The bounded Brent search is an in-repo port of SciPy 1.17's
 runtime needs numpy only; ``tests/test_optimizer.py`` pins it to SciPy
 plan for plan.
 
+Both procedures are memoised per process (:data:`MEMO_SIZE` entries,
+least recently used first out): the adaptive schemes replan after every
+detected fault, and across a table's reps almost every replan repeats
+an earlier argument tuple.  They are pure functions of their arguments,
+and the memo keys on the exact arguments *and their types*, so a hit
+returns the very plan a fresh solve would; an exception is never
+cached.  The unmemoised procedures stay reachable as ``__wrapped__``.
+
 Brute-force search over all integers is provided for validation and as
 a safety net for callers who prefer exactness over speed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -34,12 +43,19 @@ __all__ = [
     "brute_force_num_scp",
     "brute_force_num_ccp",
     "DEFAULT_MAX_SUBDIVISIONS",
+    "MEMO_SIZE",
 ]
 
 #: Upper clamp on the subdivision count.  Only reachable for degenerate
 #: inputs (e.g. free stores, ``t_s = 0``); real parameterisations stay
 #: far below it.
 DEFAULT_MAX_SUBDIVISIONS = 4096
+
+#: Entries in each of the ``num_scp`` / ``num_ccp`` memos.  At 1000 reps
+#: per cell, tables 3a and 4a make ~184k ``num_ccp`` calls over ~4.2k
+#: distinct argument tuples, about 66 per cell.  A block runs one
+#: cell's reps back to back, so the working set is one cell's tuples.
+MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -62,6 +78,7 @@ class SubdivisionPlan:
     expected_time: float
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
 def num_scp(
     span: float,
     *,
@@ -136,6 +153,7 @@ def num_scp(
     return SubdivisionPlan(m=m, sublength=span / m, expected_time=best)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
 def num_ccp(
     span: float,
     *,

@@ -294,7 +294,7 @@ class DispatchStats:
     """EWMA of observed per-block compute latency, per job kind.
 
     Turns a latency target into a batch size: cheap blocks ride many to
-    a message, expensive blocks go one at a time.  Until a kind has an
+    a message, blocks that take the whole target go one at a time.  Until a kind has an
     observation its batch size is 1 — maximum parallelism, and the
     first completions seed the estimate.  Purely a dispatch heuristic:
     it never affects block boundaries, seeding, or merge order, so
@@ -404,10 +404,12 @@ class ProcessBackend:
     Dispatch is **latency-adaptive**: consecutive same-kind blocks are
     grouped so one pool round trip carries ``target_seconds`` of
     estimated compute — analytic blocks (cheap) ride dozens to a
-    message while executor blocks go individually, so mixed grids
-    neither convoy behind per-future overhead nor load-imbalance behind
-    huge claims.  Submission is windowed: groups are sized with the
-    *current* EWMA as earlier groups complete.  Grouping is
+    message, and so do exact blocks of a few tens of milliseconds — so
+    mixed grids do not convoy behind per-future overhead.  A guided
+    cap of ``⌈pending / (2·workers)⌉`` blocks per message keeps a big
+    claim from leaving the other workers idle at the end of a batch
+    (:meth:`_next_group`).  Submission is windowed: groups are sized
+    with the *current* EWMA as earlier groups complete.  Grouping is
     transport-only — block boundaries, seeding and merge order are
     untouched, so results are bit-identical whatever the EWMA state
     (``tests/test_backend_conformance.py``).
@@ -439,9 +441,16 @@ class ProcessBackend:
     def _next_group(
         self, tasks: Sequence[BlockTask], pending: Deque[int]
     ) -> Tuple[List[int], str]:
-        """Pop the next dispatch group: consecutive blocks of one kind."""
+        """Pop the next dispatch group: consecutive blocks of one kind.
+
+        At most the EWMA's batch size, and at most
+        ``⌈len(pending) / (2·workers)⌉`` blocks (guided self-scheduling),
+        so messages shrink as the batch drains and the last blocks are
+        spread over the workers instead of riding one message.
+        """
         head_kind = dispatch_kind(tasks[pending[0]])
-        size = self.dispatch_stats.batch_size(head_kind)
+        guided = -(-len(pending) // (2 * self.workers))
+        size = min(self.dispatch_stats.batch_size(head_kind), guided)
         group = [pending.popleft()]
         while pending and len(group) < size:
             if dispatch_kind(tasks[pending[0]]) != head_kind:

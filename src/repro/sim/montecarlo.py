@@ -9,7 +9,9 @@ but a user of the library will want.
 
 Rep ``i`` of a cell always draws its fault realisation from
 ``RandomSource(seed).substream(i)`` — a ``SeedSequence`` spawn keyed by
-the absolute rep index, never by worker or block.  Aggregation is
+the absolute rep index, never by worker or block (a block seeds its
+reps in one vectorised pass, :meth:`~repro.sim.rng.RandomSource.
+substream_range`, with the same streams).  Aggregation is
 *blocked*: reps accumulate into fixed-size blocks of O(1) streaming
 moments (:mod:`repro.sim.metrics`), merged in block order.  That
 discipline is what lets :mod:`repro.sim.parallel` shard a cell across
@@ -125,21 +127,18 @@ def run_range(
         faults = PoissonFaults(task.fault_rate)
     if energy_model is None:
         energy_model = EnergyModel.paper_dmr()
-    source = RandomSource(seed)
-    results: List[RunResult] = []
-    for index in range(start, stop):
-        results.append(
-            simulate_run(
-                task,
-                policy_factory(),
-                faults,
-                energy_model,
-                source.substream(index),
-                faults_during_overhead=faults_during_overhead,
-                limits=limits,
-            )
+    return [
+        simulate_run(
+            task,
+            policy_factory(),
+            faults,
+            energy_model,
+            stream,
+            faults_during_overhead=faults_during_overhead,
+            limits=limits,
         )
-    return results
+        for stream in RandomSource(seed).substream_range(start, stop)
+    ]
 
 
 def estimate(
@@ -476,15 +475,14 @@ def accumulate_range(
     detected = slab.detected
     checkpoints = slab.checkpoints
     sub_checkpoints = slab.sub_checkpoints
-    source = RandomSource(seed)
-    substream = source.substream
-    for row, index in enumerate(range(start, stop)):
+    streams = RandomSource(seed).substream_range(start, stop)
+    for row, stream in enumerate(streams):
         outcome = execute_once(
             task,
             policy_factory(),
             faults,
             energy_model,
-            substream(index),
+            stream,
             faults_during_overhead=faults_during_overhead,
             limits=limits,
         )

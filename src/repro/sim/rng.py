@@ -3,14 +3,21 @@
 Built on :class:`numpy.random.Generator` with ``SeedSequence`` spawning,
 so every run of every experiment cell gets an independent, reproducible
 stream: ``RandomSource(seed).substream(i)`` is deterministic in
-``(seed, i)`` and statistically independent across ``i``.
+``(seed, i)`` and statistically independent across ``i``.  It is
+numpy's ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, seeded
+through the port in :mod:`repro.sim.seedseq`, which mixes the seed once
+per source and a block's rep indices in one vectorised pass.
+``numpy.random`` is imported on the first draw, not with this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, keeps numpy.random lazy
+    from repro.sim.seedseq import SpawnMixer
 
 __all__ = ["RandomSource", "FAST_STREAM_TAG"]
 
@@ -25,7 +32,9 @@ class RandomSource:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._sequence = np.random.SeedSequence(self._seed)
+        if self._seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        self._mixer: Optional["SpawnMixer"] = None
 
     @property
     def seed(self) -> int:
@@ -40,8 +49,25 @@ class RandomSource:
         """The ``index``-th independent substream (deterministic)."""
         if index < 0:
             raise ValueError(f"substream index must be >= 0, got {index}")
-        child = np.random.SeedSequence(self._seed, spawn_key=(index,))
-        return np.random.default_rng(child)
+        return self._spawn_mixer().generator(index)
+
+    def substream_range(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """``substream(i)`` for ``i`` in ``[start, stop)``, seeded as one block.
+
+        The streams are :meth:`substream`'s bit for bit; the rep indices
+        are mixed in one vectorised pass, and each generator is built
+        as the iteration reaches it.
+        """
+        if start < 0 or stop < start:
+            raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
+        return self._spawn_mixer().generators(start, stop)
+
+    def _spawn_mixer(self) -> "SpawnMixer":
+        if self._mixer is None:
+            from repro.sim.seedseq import SpawnMixer
+
+            self._mixer = SpawnMixer(self._seed)
+        return self._mixer
 
     def fast_block_stream(self, block_start: int) -> np.random.Generator:
         """One vectorised Philox stream for a fast-kernel rep block.
@@ -49,7 +75,7 @@ class RandomSource:
         The fast kernel (:mod:`repro.sim.kernel`) draws a whole block's
         fault realisations from a *single* counter-based bit generator
         instead of constructing one ``SeedSequence → PCG64`` pair per
-        rep (~13 µs each).  The stream is a pure function of
+        rep (~28 µs each with numpy's ``SeedSequence``).  The stream is a pure function of
         ``(seed, FAST_STREAM_TAG, block_start)`` — the absolute index
         of the block's first rep — so, for a fixed chunk size, which
         worker draws the block (and in what order blocks complete)

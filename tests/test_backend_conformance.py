@@ -302,6 +302,32 @@ class TestAdaptiveDispatch:
             assert {dispatch_kind(tasks[i]) for i in group} == {kind}
         backend.close()
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_guided_cap_bounds_every_message(self, workers):
+        """With an EWMA primed to pack 64 blocks a message, no group
+        exceeds ⌈pending / (2·workers)⌉ blocks, and the groups still pop
+        every block exactly once, in order."""
+        from collections import deque
+
+        from repro.sim.backends import plan_blocks
+
+        backend = ProcessBackend(workers)
+        backend.dispatch_stats.observe("CellJob", 1e-6)
+        assert backend.dispatch_stats.batch_size("CellJob") == 64
+        tasks = plan_blocks(_mixed_jobs(), 2)  # 125 one-kind blocks
+        pending = deque(range(len(tasks)))
+        popped, sizes = [], []
+        while pending:
+            cap = -(-len(pending) // (2 * workers))
+            group, _kind = backend._next_group(tasks, pending)
+            assert 1 <= len(group) <= cap
+            popped.extend(group)
+            sizes.append(len(group))
+        backend.close()
+        assert popped == list(range(len(tasks)))
+        assert sizes[0] == -(-len(tasks) // (2 * workers))
+        assert sizes == sorted(sizes, reverse=True)
+
 
 class TestDispatchStats:
     def test_batch_size_tracks_latency(self):

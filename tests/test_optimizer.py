@@ -423,3 +423,97 @@ class TestBrentPortMatchesSciPy:
         # the error is still the one the first evaluation raised.
         expected = outcome(scipy_num_ccp, kwargs)
         assert outcome(num_ccp, kwargs) == expected == ("raises", error)
+
+
+def memo_outcome(search, kwargs):
+    """:func:`outcome` with each field's type (``4095 == 4095.0``)."""
+    try:
+        plan = search(**kwargs)
+    except Exception as exc:
+        return ("raises", type(exc).__name__)
+    return ("plan",) + tuple(
+        (type(value), value.hex() if isinstance(value, float) else value)
+        for value in (plan.m, plan.sublength, plan.expected_time)
+    )
+
+
+def negated_zeros(kwargs):
+    return {
+        name: -0.0 if isinstance(value, float) and value == 0.0 else value
+        for name, value in kwargs.items()
+    }
+
+
+def integral_as_int(kwargs):
+    return {
+        name: int(value)
+        if isinstance(value, float) and math.isfinite(value) and value.is_integer()
+        else value
+        for name, value in kwargs.items()
+    }
+
+
+SEARCHES = pytest.mark.parametrize(
+    "search", [num_scp, num_ccp], ids=["num_scp", "num_ccp"]
+)
+
+
+class TestMemo:
+    """``num_scp`` / ``num_ccp`` are memoised per process.
+
+    A hit must be the very plan the unmemoised ``__wrapped__`` solve
+    returns, whatever was cached before: ``0.0 == -0.0`` and
+    ``1 == 1.0`` hash alike, so the variants below share or split
+    memo entries and every answer is checked bit for bit.
+    """
+
+    @SEARCHES
+    @given(
+        span=st.one_of(
+            st.floats(min_value=1e-3, max_value=1e6),
+            st.integers(min_value=1, max_value=10**6).map(float),
+        ),
+        rate=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-6, max_value=1.0),
+            st.sampled_from([1e-3, 2.8e-3, 1.0]),
+        ),
+        store=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+        compare=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+        rollback=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+        max_m=st.sampled_from(MAX_MS + (4096.0,)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memo_equals_wrapped(
+        self, search, span, rate, store, compare, rollback, max_m
+    ):
+        kwargs = dict(
+            span=span, rate=rate, store=store, compare=compare,
+            rollback=rollback, max_m=max_m,
+        )
+        for variant in (
+            kwargs,
+            negated_zeros(kwargs),
+            integral_as_int(kwargs),
+            negated_zeros(integral_as_int(kwargs)),
+        ):
+            for _ in range(2):  # the second call is a hit
+                assert memo_outcome(search, variant) == memo_outcome(
+                    search.__wrapped__, variant
+                ), variant
+
+    @SEARCHES
+    def test_exceptions_are_raised_on_every_call(self, search):
+        before = search.cache_info()
+        for _ in range(3):
+            with pytest.raises(ParameterError):
+                search(-1.0, rate=1e-3, store=TS, compare=TCP)
+        after = search.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 3)
+
+    @SEARCHES
+    def test_memo_is_bounded(self, search):
+        assert search.cache_info().maxsize == optimizer.MEMO_SIZE
+        for k in range(optimizer.MEMO_SIZE + 16):
+            search(100.0 + k, rate=2.8e-3, store=TS, compare=TCP)
+        assert search.cache_info().currsize == optimizer.MEMO_SIZE
