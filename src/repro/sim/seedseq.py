@@ -85,8 +85,9 @@ def _fold(pool: Sequence, hashes: Iterable[Tuple[int, int]], words: Sequence) ->
     pool = list(pool)
     hashes = iter(hashes)
     for word in words:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(hashes)))
+        # zip stops at the range's end without drawing a fifth hash.
+        for dst, (xor, mult) in zip(range(_POOL_SIZE), hashes):
+            pool[dst] = _mix(pool[dst], _hash(word, xor, mult))
     return pool
 
 
@@ -96,12 +97,10 @@ _STATE_HASHES = _hashes(_INIT_B, 2 * _STATE_WORDS, _MULT_B)
 
 def _generate_state(pool: Sequence) -> List:
     """``generate_state(4, np.uint64)`` of a mixed pool."""
-    words = [
-        _hash(pool[index % _POOL_SIZE], xor, mult)
-        for index, (xor, mult) in enumerate(_STATE_HASHES)
-    ]
+    cycled = list(pool) * 2  # numpy cycles the pool for 8 words
+    words = [_hash(value, *pair) for value, pair in zip(cycled, _STATE_HASHES)]
     # Little-endian pairs, as numpy's ``view('<u8')``.
-    return [words[k] | (words[k + 1] << 32) for k in range(0, len(words), 2)]
+    return [low | (high << 32) for low, high in zip(words[0::2], words[1::2])]
 
 
 def _int_words(value: int) -> List[int]:
