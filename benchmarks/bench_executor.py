@@ -46,9 +46,10 @@ Results are written to ``BENCH_executor.json`` (override with
 ``*_fast.json`` sibling so CI can upload the two kernel variants as
 separate artifacts.  ``--fresh-process`` times each scheme once per
 *subprocess* — a cold interpreter with empty caches — so per-rep
-setup cost (the ~13 µs/rep ``SeedSequence`` construction the fast
-kernel's batched spawn removes) stays visible instead of being
-amortised away by warm in-process best-of rounds.  Exit status is
+setup cost (the per-rep ``PCG64`` seeding the fast kernel's batched
+spawn removes: ~28 µs a rep through numpy's ``SeedSequence``, ~4–6 µs
+through the exact path's block-seeded port) stays visible instead of
+being amortised away by warm in-process best-of rounds.  Exit status is
 non-zero when the agreement check or any gate fails.
 """
 

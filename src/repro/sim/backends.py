@@ -294,12 +294,12 @@ class DispatchStats:
     """EWMA of observed per-block compute latency, per job kind.
 
     Turns a latency target into a batch size: cheap blocks ride many to
-    a message, blocks that take the whole target go one at a time.  Until a kind has an
-    observation its batch size is 1 — maximum parallelism, and the
-    first completions seed the estimate.  Purely a dispatch heuristic:
-    it never affects block boundaries, seeding, or merge order, so
-    results are bit-identical for any state of the statistics
-    (``tests/test_backend_conformance.py``).
+    a message, blocks that take the whole target go one at a time.
+    Until a kind has an observation its batch size is 1 — maximum
+    parallelism, and the first completions seed the estimate.  Purely a
+    dispatch heuristic: it never affects block boundaries, seeding, or
+    merge order, so results are bit-identical for any state of the
+    statistics (``tests/test_backend_conformance.py``).
     """
 
     __slots__ = ("target_seconds", "alpha", "max_batch", "_ewma")

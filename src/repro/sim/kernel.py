@@ -11,8 +11,9 @@ path).  Selected via ``ExecutionSettings(kernel="fast")`` /
    block (:meth:`repro.sim.rng.RandomSource.fast_block_stream`) draws
    the whole block's fault realisations as a single ``(reps, K)``
    matrix (:meth:`repro.sim.faults.FaultProcess.block_gaps`), replacing
-   the ~13 µs/rep ``SeedSequence → PCG64`` construction of the exact
-   path.
+   the exact path's per-rep ``PCG64`` seeding (~28 µs a rep through
+   numpy's ``SeedSequence``, ~4–6 µs through the block-seeded port in
+   :mod:`repro.sim.seedseq`).
 2. **Table-driven adaptive replan** — per-fault replans resolve through
    a quantised :class:`repro.core.schemes.ReplanTable` (bucket-centre
    evaluation, exactness fallback off-table) instead of re-running the

@@ -51,7 +51,9 @@ class RandomSource:
             raise ValueError(f"substream index must be >= 0, got {index}")
         return self._spawn_mixer().generator(index)
 
-    def substream_range(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+    def substream_range(
+        self, start: int, stop: int
+    ) -> Iterator[np.random.Generator]:
         """``substream(i)`` for ``i`` in ``[start, stop)``, seeded as one block.
 
         The streams are :meth:`substream`'s bit for bit; the rep indices
@@ -74,8 +76,9 @@ class RandomSource:
 
         The fast kernel (:mod:`repro.sim.kernel`) draws a whole block's
         fault realisations from a *single* counter-based bit generator
-        instead of constructing one ``SeedSequence → PCG64`` pair per
-        rep (~28 µs each with numpy's ``SeedSequence``).  The stream is a pure function of
+        instead of seeding one ``PCG64`` per rep (~28 µs each through
+        numpy's ``SeedSequence``, ~4–6 µs through
+        :meth:`substream_range`).  The stream is a pure function of
         ``(seed, FAST_STREAM_TAG, block_start)`` — the absolute index
         of the block's first rep — so, for a fixed chunk size, which
         worker draws the block (and in what order blocks complete)

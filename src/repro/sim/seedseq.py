@@ -80,7 +80,9 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _fold(pool: Sequence, hashes: Iterable[Tuple[int, int]], words: Sequence) -> List:
+def _fold(
+    pool: Sequence, hashes: Iterable[Tuple[int, int]], words: Sequence
+) -> List:
     """``mix_entropy``'s last loop: fold each word into every pool word."""
     pool = list(pool)
     hashes = iter(hashes)
@@ -163,16 +165,18 @@ class SpawnMixer:
     def states(self, start: int, stop: int) -> np.ndarray:
         """:meth:`state` of reps ``[start, stop)`` as rows, vectorised."""
         if stop > _VECTOR_LIMIT:
-            rows = [self.state(index) for index in range(start, stop)]
-            return np.array(rows, dtype=np.uint64).reshape(-1, _STATE_WORDS)
-        index = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
-        pool = self._index_pool([index & _MASK32])
-        if stop > 1 << 32:
-            # Indices from 2**32 up have a second word; the rest do not.
-            high = index >> 32
-            wide = _fold(pool, self._index_hashes[_POOL_SIZE:], [high])
-            pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
-        rows = np.column_stack(_generate_state(pool))
+            rows = np.array(
+                [self.state(index) for index in range(start, stop)], dtype=np.uint64
+            ).reshape(-1, _STATE_WORDS)
+        else:
+            index = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
+            pool = self._index_pool([index & _MASK32])
+            if stop > 1 << 32:
+                # Indices from 2**32 up have a second word; the rest do not.
+                high = index >> 32
+                wide = _fold(pool, self._index_hashes[_POOL_SIZE:], [high])
+                pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+            rows = np.column_stack(_generate_state(pool))
         rows.flags.writeable = False
         return rows
 
@@ -206,13 +210,13 @@ class SpawnSeed(ISpawnableSeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == _STATE_WORDS and dtype is np.uint64:
             return self._words
-        return self.sequence().generate_state(n_words, dtype)
+        return self._numpy().generate_state(n_words, dtype)
 
     def spawn(self, n_children):
-        return self.sequence().spawn(n_children)
+        return self._numpy().spawn(n_children)
 
-    def sequence(self) -> SeedSequence:
-        """numpy's ``SeedSequence`` for this stream (built once)."""
+    def _numpy(self) -> SeedSequence:
+        """numpy's own ``SeedSequence`` for this stream, built once."""
         if self._sequence is None:
             self._sequence = SeedSequence(self._seed, spawn_key=(self._index,))
         return self._sequence

@@ -113,6 +113,7 @@ class TestSpawnPort:
     )
     @example(seed=0, start=0, count=4)
     @example(seed=7, start=2**32 - 2, count=4)  # straddles 2**32
+    @example(seed=7, start=2**64 - 2, count=4)  # past the uint64 arrays
     @settings(max_examples=150, deadline=None)
     def test_substream_range_is_numpys_spawn(self, seed, start, count):
         streams = RandomSource(seed).substream_range(start, start + count)
