@@ -2,12 +2,14 @@
 
 The golden traces draw from ``RandomSource.generator()``; the paper
 tables' reps draw from ``RandomSource.substream(i)``.  This module pins
-the second path end to end: tables 1a and 3a in exact mode at 64 reps
-and seed 7, each record's ``key`` plus its full ``estimate``, written
-with ``json_dumps_exact`` to ``tests/fixtures/exact-estimates.json``.
-A change to rep seeding, the optimisers, the executor or the blocked
-merge that moves a single bit fails here, on a serial session and on a
-2-worker process pool alike.
+the second path end to end for all eight paper tables in exact mode at
+64 reps and seed 7: each record's ``key`` plus its full ``estimate``,
+written with ``json_dumps_exact``.  Tables 1a and 3a live in
+``tests/fixtures/exact-estimates.json``, the other six in
+``tests/fixtures/exact-estimates-other.json``.  A change to rep
+seeding, the optimisers, the executor or the blocked merge that moves a
+single bit fails here, on a serial session and on a 2-worker process
+pool alike.
 
 Regenerate only for an intended change of exact-mode numbers::
 
@@ -23,16 +25,20 @@ import pytest
 from repro.api import Session, Study, StudySpec
 from repro.api.results import json_dumps_exact
 
-FIXTURE = Path(__file__).resolve().parent / "fixtures" / "exact-estimates.json"
-TABLES = ("1a", "3a")
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+#: Fixture file → the tables it pins.
+PINNED = {
+    "exact-estimates.json": ("1a", "3a"),
+    "exact-estimates-other.json": ("1b", "2a", "2b", "3b", "4a", "4b"),
+}
 REPS = 64
 SEED = 7
 
 
-def render(session: Session) -> str:
-    """The fixture's text, computed on ``session``."""
+def render(session: Session, tables) -> str:
+    """A fixture's text for ``tables``, computed on ``session``."""
     payload = {}
-    for table in TABLES:
+    for table in tables:
         spec = StudySpec(kind="table", table=table, reps=REPS, seed=SEED)
         results = Study(spec).run(session)
         payload[table] = [
@@ -42,18 +48,21 @@ def render(session: Session) -> str:
     return json_dumps_exact(payload, indent=1) + "\n"
 
 
+@pytest.mark.parametrize("fixture", sorted(PINNED))
 @pytest.mark.parametrize(
     "settings",
     [{}, {"backend": "process", "workers": 2}],
     ids=["serial", "process-2"],
 )
-def test_exact_estimates_match_the_fixture_byte_for_byte(settings):
+def test_exact_estimates_match_the_fixture_byte_for_byte(settings, fixture):
     with Session(**settings) as session:
-        assert render(session) == FIXTURE.read_text()
+        text = render(session, PINNED[fixture])
+    assert text == (FIXTURES / fixture).read_text()
 
 
 if __name__ == "__main__":
+    FIXTURES.mkdir(exist_ok=True)
     with Session() as session:
-        FIXTURE.parent.mkdir(exist_ok=True)
-        FIXTURE.write_text(render(session))
-    print(f"wrote {FIXTURE}")
+        for name, tables in PINNED.items():
+            (FIXTURES / name).write_text(render(session, tables))
+            print(f"wrote {FIXTURES / name}")
