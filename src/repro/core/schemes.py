@@ -26,13 +26,14 @@ the recompute points of the paper's pseudocode (figs. 6/7 lines 2-4 and
 from __future__ import annotations
 
 import abc
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core import optimizer
 from repro.core.checkpoints import CheckpointKind
-from repro.core.dvs import SpeedLadder
+from repro.core.dvs import SpeedLadder, _ladder_factors
 from repro.core.intervals import (
     checkpoint_interval,
     k_fault_interval,
@@ -207,9 +208,41 @@ class AdaptiveConfig:
             raise ParameterError(f"max_m must be >= 1, got {self.max_m}")
 
 
-#: Memo of the adaptive schemes' initial (frequency, Plan) keyed by
-#: (task, config, scheme class); bounded by periodic clearing.
+#: Memo of the adaptive schemes' initial ``(frequency, Plan,
+#: _ReplanCell)`` keyed by (task, config, scheme class); bounded by
+#: periodic clearing.
 _START_MEMO: dict = {}
+
+class _ReplanCell:
+    """What every replan of one cell shares (task, config and scheme fixed).
+
+    Per speed level, in ladder order: the ``t_est`` factors
+    (:func:`repro.core.dvs._ladder_factors`) and the checkpoint time
+    ``C = c/f``; per frequency, the renewal-model arguments.
+    """
+
+    __slots__ = ("levels", "analysis")
+
+    def __init__(self, task, config: "AdaptiveConfig") -> None:
+        rate = task.fault_rate
+        costs = task.costs
+        checkpoint_cycles = costs.checkpoint_cycles
+        self.levels = [
+            (frequency, numerator, denominator, checkpoint_cycles / frequency)
+            for frequency, numerator, denominator in _ladder_factors(
+                config.ladder, rate, checkpoint_cycles
+            )
+        ]
+        self.analysis = {
+            frequency: {
+                "rate": rate * config.analysis_rate_factor,
+                "store": costs.store_cycles / frequency,
+                "compare": costs.compare_cycles / frequency,
+                "rollback": costs.rollback_cycles / frequency,
+                "max_m": config.max_m,
+            }
+            for frequency in config.ladder.frequencies
+        }
 
 
 class _AdaptiveBase(CheckpointPolicy):
@@ -225,24 +258,21 @@ class _AdaptiveBase(CheckpointPolicy):
     def __init__(self, config: AdaptiveConfig | None = None) -> None:
         self.config = config or AdaptiveConfig()
         self._plan: Plan | None = None
-        # Per-fault replan caches: the ladder and sub-checkpoint kind
-        # are fixed per policy, the checkpoint cost and renewal-model
-        # arguments per (task, frequency) — and a policy instance sees
-        # exactly one task (fresh policy per run).
-        self._ladder = self.config.ladder
         self._kind = self._sub_kind()
-        self._checkpoint_cycles: float | None = None
-        self._analysis_by_frequency: dict = {}
+        # The cell's shared replan constants: from _START_MEMO, or built
+        # on the first replan (a policy instance sees exactly one task —
+        # fresh policy per run).
+        self._cell: _ReplanCell | None = None
 
     def start(self, state: ExecutionState) -> None:
         # Every rep of a Monte-Carlo cell starts from the same fresh
         # state, so the initial (speed, plan) is a pure function of
-        # (task, config, scheme) — memoised across policy instances.
-        # `Plan` is frozen, so sharing one instance is safe.  Two
-        # guards keep the memo sound: only classes whose constructor is
-        # exactly _AdaptiveBase's may use it (a subclass with extra
-        # constructor state, e.g. the fixed-m ablation policy, is not a
-        # pure function of the key), and the state must actually *be*
+        # (task, config, scheme) — memoised across policy instances,
+        # with the cell's replan constants.  Two guards keep the memo
+        # sound: only classes whose constructor is exactly
+        # _AdaptiveBase's may use it (a subclass with extra constructor
+        # state, e.g. the fixed-m ablation policy, is not a pure
+        # function of the key), and the state must actually *be*
         # fresh — start() is public API and may legally be handed a
         # tampered state, which must bypass the cache in both
         # directions.
@@ -264,59 +294,65 @@ class _AdaptiveBase(CheckpointPolicy):
                 key = None
                 memo = None
         if memo is not None:
-            state.frequency, self._plan = memo
+            state.frequency, self._plan, self._cell = memo
             return
-        self._select_speed(state)
         self._replan(state)
         if key is not None:
             if len(_START_MEMO) > 1024:
                 _START_MEMO.clear()
-            _START_MEMO[key] = (state.frequency, self._plan)
+            _START_MEMO[key] = (state.frequency, self._plan, self._cell)
 
     def plan(self, state: ExecutionState) -> Plan:
         assert self._plan is not None, "start() must run before plan()"
         return self._plan
 
     def on_fault(self, state: ExecutionState) -> None:
-        self._select_speed(state)
         self._replan(state)
 
-    def _select_speed(self, state: ExecutionState) -> None:
-        task = state.task
-        checkpoint_cycles = self._checkpoint_cycles
-        if checkpoint_cycles is None:
-            checkpoint_cycles = self._checkpoint_cycles = (
-                task.costs.checkpoint_cycles
-            )
-        state.frequency = self._ladder.select_speed(
-            state.remaining_cycles,
-            state.deadline_left,
-            rate=task.fault_rate,
-            checkpoint_cycles=checkpoint_cycles,
-        )
-
     def _replan(self, state: ExecutionState) -> None:
+        """Speed, interval and subdivision for the current state.
+
+        Figs. 6/7 lines 2-4 (start) and 14-17 (after a fault): the
+        slowest ladder speed whose ``t_est`` meets ``Rd`` (the fastest
+        when none does — :meth:`~repro.core.dvs.SpeedLadder.
+        select_speed`'s arithmetic), then ``interval()`` and the
+        subclass's ``m`` at that speed.
+        """
+        cell = self._cell
+        if cell is None:
+            cell = self._cell = _ReplanCell(state.task, self.config)
         task = state.task
-        frequency = state.frequency
-        checkpoint_cycles = self._checkpoint_cycles
-        if checkpoint_cycles is None:
-            checkpoint_cycles = self._checkpoint_cycles = (
-                task.costs.checkpoint_cycles
-            )
-        cost = checkpoint_cycles / frequency
-        work = state.remaining_cycles / frequency
-        deadline_left = max(state.deadline_left, _EPS_DEADLINE)
+        remaining = state.remaining_cycles
+        if remaining < 0:
+            raise ParameterError(f"work_cycles must be >= 0, got {remaining}")
+        deadline_left = task.deadline - state.clock
+        for level in cell.levels:
+            if remaining == 0:
+                t_est = 0.0
+            elif level[1] is None:  # loss >= 1: no finite estimate
+                t_est = math.inf
+            else:
+                t_est = remaining * level[1] / level[2]
+            if t_est <= deadline_left:
+                break
+        frequency = state.frequency = level[0]
         interval = checkpoint_interval(
-            deadline_left, work, cost, state.faults_left, task.fault_rate
+            # max(deadline_left, _EPS_DEADLINE), without the call.
+            _EPS_DEADLINE if _EPS_DEADLINE > deadline_left else deadline_left,
+            remaining / frequency,
+            level[3],
+            state.faults_left,
+            task.fault_rate,
         )
         m = self._subdivide(state, interval)
         # checkpoint_interval clamps into (0, work] and _subdivide
-        # returns m >= 1, so Plan's validation is skipped (this runs
-        # once per detected fault in every adaptive Monte-Carlo rep).
+        # returns m >= 1, so Plan's validation is skipped and its
+        # fields go straight into the (frozen) instance's dict.
         plan = Plan.__new__(Plan)
-        object.__setattr__(plan, "interval_time", interval)
-        object.__setattr__(plan, "m", m)
-        object.__setattr__(plan, "sub_kind", self._kind)
+        fields = plan.__dict__
+        fields["interval_time"] = interval
+        fields["m"] = m
+        fields["sub_kind"] = self._kind
         self._plan = plan
 
     @abc.abstractmethod
@@ -328,32 +364,15 @@ class _AdaptiveBase(CheckpointPolicy):
         """Kind of the interior sub-checkpoints."""
 
     def _analysis_args(self, state: ExecutionState) -> dict:
-        """Renewal-model arguments in time units at the current speed.
-
-        Cached per frequency: a policy instance serves one run of one
-        task, so everything here is constant per speed level.
-        """
-        frequency = state.frequency
-        args = self._analysis_by_frequency.get(frequency)
-        if args is None:
-            task = state.task
-            costs = task.costs
-            args = {
-                "rate": task.fault_rate * self.config.analysis_rate_factor,
-                "store": costs.store_cycles / frequency,
-                "compare": costs.compare_cycles / frequency,
-                "rollback": costs.rollback_cycles / frequency,
-                "max_m": self.config.max_m,
-            }
-            self._analysis_by_frequency[frequency] = args
-        return args
+        """Renewal-model arguments in time units at the current speed."""
+        return self._cell.analysis[state.frequency]
 
 
 class ReplanTable:
     """Quantised memo of an adaptive policy's per-fault replan decision.
 
     The fast kernel's rung 2 (:mod:`repro.sim.kernel`): instead of
-    re-running ``_select_speed`` + ``_replan`` (``checkpoint_interval``
+    re-running ``_replan`` (the speed choice, ``checkpoint_interval``
     plus the ``num_SCP``/``num_CCP`` renewal-model optimisation —
     ~20 µs per ``num_CCP`` Brent search at table 3/4 parameters on a
     2-vCPU Intel Xeon) at every detected fault, the
@@ -482,7 +501,7 @@ class ReplanTable:
             state.remaining_cycles = remaining_cycles
             state.clock = self._deadline - deadline_left
             state.faults_left = faults_left
-            state.frequency = 1.0  # overwritten by _select_speed
+            state.frequency = 1.0  # overwritten by _replan
             policy = self._policy
             policy.on_fault(state)
             plan = policy.plan(state)

@@ -19,7 +19,10 @@ recorded run goes through the executor's one interval loop, the loop
 every Monte-Carlo cell runs.  A replay that matches event-for-event
 additionally re-runs the scenario unrecorded through
 :func:`~repro.sim.executor.execute_once` (the slab path's entry point)
-and checks its outcome against the golden's ``result`` record.
+and checks its outcome against the golden's ``result`` record, then
+once more through the cell's fault-free trajectory
+(:func:`~repro.sim.executor.fault_free_trajectory`), the path a
+Monte-Carlo block runs.
 
 Taskset traces (``repro.taskset-trace/1``,
 :mod:`repro.goldens.taskset`): :func:`record_taskset_golden` records
@@ -52,7 +55,13 @@ from repro.goldens.trace_io import (
     TraceHeader,
     read_golden,
 )
-from repro.sim.executor import RunOutcome, RunResult, execute_once, simulate_run
+from repro.sim.executor import (
+    RunOutcome,
+    RunResult,
+    execute_once,
+    fault_free_trajectory,
+    simulate_run,
+)
 from repro.sim.trace import Trace, TraceEvent, payload_diff
 
 __all__ = [
@@ -402,6 +411,34 @@ def replay(path: str) -> DriftReport:
     return _REPLAYERS[header.format](path, header, events)
 
 
+def _trajectory_diffs(
+    scen: GoldenScenario, golden: Dict[str, object]
+) -> List[Tuple[str, object, object]]:
+    """Field diffs of the run through the cell's fault-free trajectory
+    (the path Monte-Carlo blocks take), labelled ``(trajectory)``."""
+    trajectory = fault_free_trajectory(
+        scen.task,
+        scen.build_policy(),
+        faults_during_overhead=scen.faults_during_overhead,
+    )
+    if trajectory is None:
+        return []
+    outcome = execute_once(
+        scen.task,
+        scen.build_policy(),
+        scen.faults,
+        rng=scen.generator(),
+        faults_during_overhead=scen.faults_during_overhead,
+        trajectory=trajectory,
+    )
+    return [
+        (f"{field} (trajectory)", expected, actual)
+        for field, expected, actual in payload_diff(
+            golden, _outcome_payload(outcome)
+        )
+    ]
+
+
 def _replay_run(
     path: str, header: TraceHeader, events: List[TraceEvent]
 ) -> DriftReport:
@@ -461,7 +498,10 @@ def _replay_run(
             for field in actual_fast
             if field in expected_result.payload
         }
-        fast_diffs = payload_diff(golden_subset, actual_fast) or None
+        fast_diffs = payload_diff(golden_subset, actual_fast)
+        if not fast_diffs:
+            fast_diffs = _trajectory_diffs(scen, golden_subset)
+        fast_diffs = fast_diffs or None
 
     return DriftReport(
         scenario_name=scen.name,

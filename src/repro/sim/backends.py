@@ -346,6 +346,17 @@ class DispatchStats:
             return 1
         return max(1, min(int(self.target_seconds / latency), self.max_batch))
 
+    def guided_batch_size(self, kind: str, queued: int, workers: int) -> int:
+        """:meth:`batch_size`, capped at ``⌈queued / (2·workers)⌉``.
+
+        Guided self-scheduling: messages shrink as the queue drains, so
+        the last blocks spread over the workers instead of riding one
+        message.  Both dispatchers (the process pool and the
+        distributed coordinator) size their messages here.
+        """
+        guided = -(-queued // (2 * max(1, workers)))
+        return max(1, min(self.batch_size(kind), guided))
+
 
 def plan_blocks(jobs: Sequence[object], block_size: int) -> List[BlockTask]:
     """Every job's rep range cut into fixed-size blocks, in order."""
@@ -449,8 +460,9 @@ class ProcessBackend:
         spread over the workers instead of riding one message.
         """
         head_kind = dispatch_kind(tasks[pending[0]])
-        guided = -(-len(pending) // (2 * self.workers))
-        size = min(self.dispatch_stats.batch_size(head_kind), guided)
+        size = self.dispatch_stats.guided_batch_size(
+            head_kind, len(pending), self.workers
+        )
         group = [pending.popleft()]
         while pending and len(group) < size:
             if dispatch_kind(tasks[pending[0]]) != head_kind:

@@ -850,19 +850,22 @@ class Coordinator:
                     epoch = self._epoch
                     # Latency-adaptive claim sizing: take consecutive
                     # same-kind tasks worth ~the dispatch target of
-                    # estimated compute.  The configured batch_size
-                    # stays the pre-observation claim size (an
-                    # explicitly tuned value keeps working on
-                    # high-latency links); once the kind has a latency
-                    # sample the EWMA sizing takes over.  A claim never
-                    # mixes kinds, so a cheap run of analytic blocks
-                    # cannot hide an expensive executor block inside a
-                    # big claim.
+                    # estimated compute, at most ⌈queued / (2·workers)⌉
+                    # of them (the process pool's guided cap).  The
+                    # configured batch_size stays the pre-observation
+                    # claim size (an explicitly tuned value keeps
+                    # working on high-latency links); once the kind has
+                    # a latency sample the capped EWMA sizing takes
+                    # over.  A claim never mixes kinds, so a cheap run
+                    # of analytic blocks cannot hide an expensive
+                    # executor block inside a big claim.
                     head_kind = dispatch_kind(self._tasks[self._queue[0]])
                     if self.dispatch_stats.block_latency(head_kind) is None:
                         size = self.batch_size
                     else:
-                        size = self.dispatch_stats.batch_size(head_kind)
+                        size = self.dispatch_stats.guided_batch_size(
+                            head_kind, len(self._queue), len(self._links)
+                        )
                     batch: List[Tuple[int, BlockTask]] = []
                     while self._queue and len(batch) < size:
                         index = self._queue[0]

@@ -30,8 +30,9 @@ Batching
 consume them — and keeps a buffer of upcoming arrival times.  Arrival
 values are bit-identical to the sequential iterator's: NumPy fills a
 ``size=n`` draw by repeating the scalar routine against the same bit
-stream, and the anchored ``cumsum`` performs the exact left-to-right
-float additions ``((clock + g₀) + g₁) + …`` the scalar loop performs
+stream, and the anchored running sum (``itertools.accumulate`` over
+the drawn list) performs the exact left-to-right float additions
+``((clock + g₀) + g₁) + …`` the scalar loop performs
 (``tests/test_fault_batching.py`` pins this event-for-event for every
 process).  Pre-drawing ahead is safe because the stream is its
 generator's only consumer: the gap *values* do not depend on when they
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
@@ -86,7 +88,7 @@ class FaultStream:
 
     Gaps are pre-drawn in chunks (vectorised via ``draw_gaps`` when the
     process provides it, otherwise by looping ``draw_gap``) and turned
-    into arrival times with an anchored cumulative sum — bit-identical
+    into arrival times with an anchored running sum — bit-identical
     to the sequential ``clock + gap`` iterator, whatever mix of
     ``peek``/``pop``/``take_until`` the caller interleaves.  ``chunk``
     fixes the pre-draw size (``chunk=1`` reproduces the legacy
@@ -131,28 +133,27 @@ class FaultStream:
         if not self._fixed_chunk and self._chunk < _MAX_CHUNK:
             self._chunk = min(self._chunk * 2, _MAX_CHUNK)
         if self._draw_gaps is not None:
-            gaps = np.asarray(self._draw_gaps(n), dtype=np.float64)
+            drawn = self._draw_gaps(n).tolist()
         else:
-            drawn: List[float] = []
+            drawn = []
             draw = self._draw_gap
             for _ in range(n):
                 gap = draw()
                 if gap is None:
                     self._exhausted = True
                     break
-                drawn.append(gap)
+                drawn.append(float(gap))
             if not drawn:
                 return False
-            gaps = np.asarray(drawn, dtype=np.float64)
-        # Anchored cumulative sum: exactly the scalar iterator's
-        # ((clock + g0) + g1) + … left-to-right float additions.
-        gaps[0] += self._clock
-        times = np.cumsum(gaps)
-        self._clock = float(times[-1])
-        # The buffer is kept as a plain list: arrival consumption is
-        # per-event Python code in the executor, where list indexing
-        # and bisection beat NumPy scalar access by several times.
-        self._times = times.tolist()
+        # Anchored running sum: exactly the scalar iterator's
+        # ((clock + g0) + g1) + … left-to-right float additions.  The
+        # buffer is a plain list: arrival consumption is per-event
+        # Python code in the executor, where list indexing and
+        # bisection beat NumPy scalar access by several times.
+        drawn[0] += self._clock
+        times = list(accumulate(drawn))
+        self._clock = times[-1]
+        self._times = times
         self._pos = 0
         return True
 

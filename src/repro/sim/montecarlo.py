@@ -38,6 +38,7 @@ from repro.sim.executor import (
     SimulationLimits,
     default_energy_model,
     execute_once,
+    fault_free_trajectory,
     simulate_run,
 )
 from repro.sim.faults import FaultProcess, PoissonFaults
@@ -475,6 +476,16 @@ def accumulate_range(
     detected = slab.detected
     checkpoints = slab.checkpoints
     sub_checkpoints = slab.sub_checkpoints
+    # Every rep starts with the cell's fault-free run: run it once.
+    trajectory = None
+    if count > 1:
+        trajectory = fault_free_trajectory(
+            task,
+            policy_factory(),
+            energy_model,
+            faults_during_overhead=faults_during_overhead,
+            limits=limits,
+        )
     streams = RandomSource(seed).substream_range(start, stop)
     for row, stream in enumerate(streams):
         outcome = execute_once(
@@ -485,6 +496,7 @@ def accumulate_range(
             stream,
             faults_during_overhead=faults_during_overhead,
             limits=limits,
+            trajectory=trajectory,
         )
         timely[row] = outcome.timely
         energy[row] = outcome.energy

@@ -329,6 +329,43 @@ class TestAdaptiveDispatch:
         assert sizes == sorted(sizes, reverse=True)
 
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_coordinator_claims_respect_the_guided_cap(self, workers):
+        """The distributed coordinator's claims, with an EWMA primed to
+        pack 64 blocks, never exceed ⌈queued / (2·connected workers)⌉
+        and still hand out every block once, in order."""
+        from collections import deque
+
+        from repro.sim.backends import plan_blocks
+        from repro.sim.distributed import Coordinator, _Link
+
+        coordinator = Coordinator()
+        try:
+            coordinator.dispatch_stats.observe("CellJob", 1e-6)
+            assert coordinator.dispatch_stats.batch_size("CellJob") == 64
+            tasks = plan_blocks(_mixed_jobs(), 2)  # 125 one-kind blocks
+            links = [_Link(sock=None, pid=0, wid=wid) for wid in range(workers)]
+            with coordinator._cond:
+                coordinator._links = {link.wid: link for link in links}
+                coordinator._tasks = tasks
+                coordinator._queue = deque(range(len(tasks)))
+                coordinator._active = True
+            claimed, sizes = [], []
+            while coordinator._queue:
+                cap = -(-len(coordinator._queue) // (2 * workers))
+                _epoch, batch = coordinator._claim(links[len(sizes) % workers])
+                assert 1 <= len(batch) <= cap
+                claimed.extend(index for index, _task in batch)
+                sizes.append(len(batch))
+            assert claimed == list(range(len(tasks)))
+            assert sizes[0] == -(-len(tasks) // (2 * workers))
+        finally:
+            with coordinator._cond:
+                coordinator._active = False
+                coordinator._links = {}
+            coordinator.close()
+
+
 class TestDispatchStats:
     def test_batch_size_tracks_latency(self):
         from repro.sim.backends import DispatchStats

@@ -412,6 +412,28 @@ class TestDriftLocalisation:
         assert [field for field, _e, _a in report.fast_diffs] == ["energy"]
         assert "FAST-PATH DRIFT" in report.render()
 
+    def test_trajectory_only_drift_is_reported(self, tmp_path, monkeypatch):
+        """Recorded and plain unrecorded runs clean, the run through the
+        cell's fault-free trajectory perturbed → FAST-PATH DRIFT on the
+        labelled field."""
+        path = _record_one(tmp_path)
+        replay_mod = importlib.import_module("repro.goldens.replay")
+        original = replay_mod.execute_once
+
+        def perturbed(*args, **kwargs):
+            outcome = original(*args, **kwargs)
+            if kwargs.get("trajectory") is not None:
+                outcome.checkpoints += 1
+            return outcome
+
+        monkeypatch.setattr(replay_mod, "execute_once", perturbed)
+        report = replay(path)
+        assert report.divergence is None
+        assert [field for field, _e, _a in report.fast_diffs] == [
+            "checkpoints (trajectory)"
+        ]
+        assert "FAST-PATH DRIFT" in report.render()
+
     def test_golden_with_extra_trailing_event(self, tmp_path):
         # Golden claims one more event than the run produces → the
         # report points at the first missing event, not a bare fail.
