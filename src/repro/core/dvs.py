@@ -151,22 +151,29 @@ class SpeedLadder:
         """
         if work_cycles < 0:
             raise ParameterError(f"work_cycles must be >= 0, got {work_cycles}")
-        # Per-level factors depend only on (ladder, rate, c): memoised so
-        # the per-fault speed decision is two float ops per level.  The
-        # factored form reproduces estimated_completion_time's exact
-        # operation order: work·(1+loss) / (f·(1−loss)).
-        for frequency, numerator, denominator in _ladder_factors(
-            self, rate, checkpoint_cycles
-        ):
-            if work_cycles == 0:
-                t_est = 0.0
-            elif numerator is None:  # loss >= 1: no finite estimate
-                t_est = math.inf
-            else:
-                t_est = work_cycles * numerator / denominator
-            if t_est <= deadline_left:
-                return frequency
-        return self.maximum
+        levels = _ladder_factors(self, rate, checkpoint_cycles)
+        return _slowest_feasible(levels, work_cycles, deadline_left)[0]
+
+
+def _slowest_feasible(levels, work_cycles: float, deadline_left: float):
+    """The first of ``levels`` whose ``t_est`` meets ``deadline_left``.
+
+    ``levels`` are :func:`_ladder_factors` rows, slowest first (extra
+    trailing fields ride along); with none feasible, the last (fastest).
+    Per-level factors depend only on (ladder, rate, c), so the decision
+    is two float ops per level, in estimated_completion_time's exact
+    operation order: work·(1+loss) / (f·(1−loss)).
+    """
+    for level in levels:
+        if work_cycles == 0:
+            t_est = 0.0
+        elif level[1] is None:  # loss >= 1: no finite estimate
+            t_est = math.inf
+        else:
+            t_est = work_cycles * level[1] / level[2]
+        if t_est <= deadline_left:
+            return level
+    return level
 
 
 #: Memo of per-level ``t_est`` factors keyed by (frequencies, rate, c);

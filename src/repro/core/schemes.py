@@ -26,14 +26,13 @@ the recompute points of the paper's pseudocode (figs. 6/7 lines 2-4 and
 from __future__ import annotations
 
 import abc
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core import optimizer
 from repro.core.checkpoints import CheckpointKind
-from repro.core.dvs import SpeedLadder, _ladder_factors
+from repro.core.dvs import SpeedLadder, _ladder_factors, _slowest_feasible
 from repro.core.intervals import (
     checkpoint_interval,
     k_fault_interval,
@@ -314,9 +313,9 @@ class _AdaptiveBase(CheckpointPolicy):
 
         Figs. 6/7 lines 2-4 (start) and 14-17 (after a fault): the
         slowest ladder speed whose ``t_est`` meets ``Rd`` (the fastest
-        when none does — :meth:`~repro.core.dvs.SpeedLadder.
-        select_speed`'s arithmetic), then ``interval()`` and the
-        subclass's ``m`` at that speed.
+        when none does, as :meth:`~repro.core.dvs.SpeedLadder.
+        select_speed`), then ``interval()`` and the subclass's ``m`` at
+        that speed.
         """
         cell = self._cell
         if cell is None:
@@ -326,15 +325,7 @@ class _AdaptiveBase(CheckpointPolicy):
         if remaining < 0:
             raise ParameterError(f"work_cycles must be >= 0, got {remaining}")
         deadline_left = task.deadline - state.clock
-        for level in cell.levels:
-            if remaining == 0:
-                t_est = 0.0
-            elif level[1] is None:  # loss >= 1: no finite estimate
-                t_est = math.inf
-            else:
-                t_est = remaining * level[1] / level[2]
-            if t_est <= deadline_left:
-                break
+        level = _slowest_feasible(cell.levels, remaining, deadline_left)
         frequency = state.frequency = level[0]
         interval = checkpoint_interval(
             # max(deadline_left, _EPS_DEADLINE), without the call.

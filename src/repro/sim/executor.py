@@ -681,7 +681,7 @@ def _interval_loop(
     limits: SimulationLimits,
     recorder: TraceRecorder,
     cycles_map: Optional[Dict[float, float]],
-    capture=None,
+    capture: Optional["_PassLog"] = None,
     resume: Optional[tuple] = None,
 ) -> Tuple[ExecutionState, float, Optional[str]]:
     """The interval loop; returns ``(state, energy, failure)``.
