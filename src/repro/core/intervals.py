@@ -162,14 +162,11 @@ def checkpoint_interval(
       collapses to the remaining work — the run is doomed and the
       executor's deadline check will terminate it.
     """
-    if not (work > 0 and cost > 0 and deadline_left >= 0):
-        _require_positive("work", work)
-        _require_positive("cost", cost)
-        if rate <= 0:
-            return work
-        _require_non_negative("deadline_left", deadline_left)
+    _require_positive("work", work)
+    _require_positive("cost", cost)
     if rate <= 0:
         return work
+    _require_non_negative("deadline_left", deadline_left)
 
     # The helper formulas are inlined (operation for operation — this
     # runs once per fault in every adaptive Monte-Carlo rep); the

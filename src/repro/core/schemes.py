@@ -212,6 +212,7 @@ class AdaptiveConfig:
 #: periodic clearing.
 _START_MEMO: dict = {}
 
+
 class _ReplanCell:
     """What every replan of one cell shares (task, config and scheme fixed).
 
@@ -328,8 +329,7 @@ class _AdaptiveBase(CheckpointPolicy):
         level = _slowest_feasible(cell.levels, remaining, deadline_left)
         frequency = state.frequency = level[0]
         interval = checkpoint_interval(
-            # max(deadline_left, _EPS_DEADLINE), without the call.
-            _EPS_DEADLINE if _EPS_DEADLINE > deadline_left else deadline_left,
+            max(deadline_left, _EPS_DEADLINE),
             remaining / frequency,
             level[3],
             state.faults_left,

@@ -41,7 +41,9 @@ asked: a trace recorder and the ``cycles_by_frequency`` map are fed
 inside one ``if observed:`` branch per segment, which never touches
 the arithmetic.  So a recorded run, an unrecorded run and
 :func:`execute_once` give the same bits, and the golden-trace replay
-checks, event by event, the loop that computes every table.
+checks, event by event, the loop that computes every table; it then
+runs each executor golden unrecorded, plainly and through its cell's
+:class:`Trajectory`, against the golden's result record.
 Concretely:
 
 * fault arrivals come from the *batched* :class:`~repro.sim.faults.
@@ -50,10 +52,17 @@ Concretely:
 * per-segment energy is ``coef · cycles`` with ``coef = (n·V(f))·V(f)``
   cached per frequency — the exact operation order of
   :meth:`~repro.sim.energy.EnergyModel.segment_energy`, minus the
-  per-segment lambda call and dict updates;
+  per-segment lambda call and dict updates — and each segment's
+  duration and energy are computed once per replan;
 * :func:`execute_once` skips the ``cycles_by_frequency`` map and the
   :class:`RunResult` for callers that only fold counters — the slab
-  path of :func:`repro.sim.montecarlo.accumulate_range`.
+  path of :func:`repro.sim.montecarlo.accumulate_range`;
+* a Monte-Carlo block runs its cell's fault-free run once
+  (:func:`fault_free_trajectory`), and each rep starts from where its
+  first corrupting arrival leaves it (:class:`Trajectory`); static
+  cells walk their shared attempt sequence (:class:`_StaticWalk`).
+  ``tests/test_trajectory_wall.py`` holds every outcome field to the
+  plain loop's, bit for bit.
 
 ``benchmarks/bench_executor.py`` tracks the resulting reps/s and CI
 fails the perf-smoke job on a >2× regression.
@@ -61,8 +70,9 @@ fails the perf-smoke job on a >2× regression.
 This module is the **exact** kernel: bit-identical run to run, across
 every backend and worker count, pinned by the golden-trace replay
 suite.  Its vectorised peer is :mod:`repro.sim.kernel` (the opt-in
-``kernel="fast"`` mode) — statistically equivalent and roughly an
-order of magnitude faster, but block- rather than rep-deterministic;
+``kernel="fast"`` mode) — statistically equivalent and 2–5× faster
+at 1024–4096-rep blocks (slower on static and A_D cells at 64–84),
+but block- rather than rep-deterministic;
 scenarios it cannot vectorise fall back to this engine per block.
 """
 
@@ -487,18 +497,14 @@ class Trajectory:
                 injected += 1
                 seg = bisect_left(ends, stream.peek(), seg)
         if seg >= last:
-            return _with_faults(self._outcome, 0, injected)
+            outcome = self._outcome
+            return RunOutcome(
+                outcome.completed, outcome.timely, outcome.finish_time,
+                outcome.energy, 0, injected, outcome.checkpoints,
+                outcome.sub_checkpoints, 0,
+            )
         index = self._interval_of[seg]
         return (index, *self._openings[index], injected, 0)
-
-
-def _with_faults(outcome: RunOutcome, detected: int, injected: int) -> RunOutcome:
-    """A copy of ``outcome`` with these fault counts."""
-    return RunOutcome(
-        outcome.completed, outcome.timely, outcome.finish_time,
-        outcome.energy, detected, injected, outcome.checkpoints,
-        outcome.sub_checkpoints, detected,
-    )
 
 
 class _StaticWalk:

@@ -5,7 +5,9 @@ block-deterministic, opt-in.
 :func:`repro.sim.montecarlo.accumulate_range` (the exact, bit-identical
 path).  Selected via ``ExecutionSettings(kernel="fast")`` /
 ``--kernel fast``, it trades the exact mode's per-rep bit-identity for
-~10× throughput, in three rungs:
+throughput — 3.6× the exact grid of table 1a's hardest row at
+4096-rep blocks (2.1–4.7× per scheme), but below exact on static and
+A_D cells at 64–84-rep blocks — in three rungs:
 
 1. **Batched RNG spawn** — one counter-based Philox stream per rep
    block (:meth:`repro.sim.rng.RandomSource.fast_block_stream`) draws
