@@ -430,7 +430,11 @@ def accumulate_range(
     simulation and identical rep-order accumulation (bit-for-bit — the
     same streams, the same arithmetic), but each run lands in reusable
     NumPy scratch instead of a :class:`RunResult`, and the block folds
-    into the accumulators via vectorised ``add_many``.
+    into the accumulators via vectorised ``add_many``.  A block of two
+    or more reps also runs its cell's fault-free run once
+    (:func:`~repro.sim.executor.fault_free_trajectory`, one extra
+    ``policy_factory()`` call) and hands it to every rep, which then
+    skips what it shares with that run.
 
     ``kernel`` selects the execution engine: ``"exact"`` (default) is
     this bit-identical per-rep path; ``"fast"`` routes the block to the
