@@ -4,9 +4,8 @@ A faithful, tested reproduction of *“Performance Optimization for
 Energy-Aware Adaptive Checkpointing in Embedded Real-Time Systems”*
 (Zhongwen Li, Hong Chen, Shui Yu — DATE 2006), including the DATE'03
 ``ADT_DVS`` baseline it builds on, a discrete-event DMR fault simulator,
-a Monte-Carlo experiment harness that regenerates every table of the
-paper's evaluation, and extensions (TMR voting, multi-speed DVS, secure
-checkpointing) flagged by the paper as related/future work.
+and a Monte-Carlo experiment harness that regenerates every table of
+the paper's evaluation.
 
 Quickstart::
 
@@ -21,7 +20,8 @@ Quickstart::
     cell = estimate(task, AdaptiveSCPPolicy, reps=2000, seed=42)
     print(f"P = {cell.p:.4f}, E = {cell.e:.0f}")
 
-See ``examples/`` and ``EXPERIMENTS.md`` for the full evaluation.
+See ``examples/``, and ``python -m repro validate`` (all eight tables)
+for the full evaluation.
 
 Every public name resolves on first access (PEP 562), so ``import
 repro`` loads only the layers a caller uses: ``repro.TaskSpec`` loads
@@ -69,7 +69,7 @@ _EXPORTS = {
     # simulation
     "repro.sim.executor": ("simulate_run", "RunResult", "SimulationLimits"),
     "repro.sim.state": ("ExecutionState",),
-    "repro.sim.energy": ("EnergyModel", "EnergyAccount"),
+    "repro.sim.energy": ("EnergyModel",),
     "repro.sim.faults": (
         "FaultProcess",
         "FaultStream",
@@ -84,9 +84,7 @@ _EXPORTS = {
     # Monte-Carlo harness
     "repro.sim.montecarlo": (
         "estimate",
-        "run_many",
         "run_range",
-        "summarize",
         "CellAccumulator",
     ),
     "repro.sim.metrics": (

@@ -12,9 +12,10 @@ expected faults, overhead and recovery each contributing a
 ``sqrt(λ·c/f)`` fraction), with the remaining deadline ``Rd``: run at
 ``f1`` if ``t_est(Rc, f1) ≤ Rd``, otherwise at ``f2``.
 
-:class:`SpeedLadder` generalises this to any number of levels (used by
-:mod:`repro.extensions.multi_speed`); the paper's two-level ladder is
-:func:`SpeedLadder.paper_two_level`.
+:class:`SpeedLadder` generalises this to any number of levels (an
+adaptive scheme takes one through
+:class:`~repro.core.schemes.AdaptiveConfig`); the paper's two-level
+ladder is :func:`SpeedLadder.paper_two_level`.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class SpeedLadder:
         """Build a ladder with ``V(f) = sqrt(2f)``-style voltage scaling.
 
         The default ``V(f) = sqrt(2)·f**0.5`` reproduces the paper's
-        published energy magnitudes (see DESIGN.md §2 "Energy model");
+        published energy magnitudes (:mod:`repro.sim.energy`);
         ``voltage_exponent=1.0`` gives the textbook linear ``V ∝ f``.
         """
         freqs = tuple(float(f) for f in frequencies)

@@ -15,7 +15,7 @@ additional checkpoints into sub-intervals of length ``T/m``:
 ``rate`` is the state-divergence rate seen by the comparison logic.  The
 paper's analysis writes ``2λ`` for a DMR pair with per-processor fault
 rate ``λ``; its simulation injects a single system-level stream of rate
-``λ``.  Callers choose (see ``AdaptiveSchemeConfig.analysis_rate_factor``).
+``λ``.  Callers choose (see ``AdaptiveConfig.analysis_rate_factor``).
 
 All costs and lengths are in consistent time units at the current speed.
 """
@@ -73,7 +73,7 @@ def scp_interval_time(
 ) -> float:
     """``R1(T1)`` — expected time of one CSCP interval with extra SCPs.
 
-    Paper eq. (1), reconstructed (see DESIGN.md §2):
+    Paper eq. (1), reconstructed from the renewal argument below:
 
     ``R1(T1) = T + m·t_s + t_cp
              + [ (T + T1)/2 + ((m+1)/2)·t_s + t_cp + t_r ]·(e^{rT} − 1)``
@@ -130,7 +130,7 @@ def ccp_interval_time(
 ) -> float:
     """``R2(T2)`` — expected time of one CSCP interval with extra CCPs.
 
-    Paper eq. (2), reconstructed (see DESIGN.md §2):
+    Paper eq. (2), reconstructed from the renewal argument below:
 
     ``R2(T2) = t_s·e^{rT2}
              + (T2 + t_cp)·(e^{rT} − 1)/(1 − e^{−rT2})

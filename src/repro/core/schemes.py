@@ -187,9 +187,9 @@ class AdaptiveConfig:
         models* that choose ``m``.  The paper's equations carry the DMR
         pair-divergence factor 2 while its simulation injects a single
         stream at ``λ``; the default 1.0 keeps model and simulator
-        consistent (see DESIGN.md §5), 2.0 reproduces the printed
-        equations verbatim.  :func:`~repro.experiments.sweeps.
-        rate_factor_study` quantifies the gap.
+        consistent, 2.0 reproduces the printed equations verbatim.
+        :func:`~repro.experiments.sweeps.rate_factor_study` quantifies
+        the gap.
     max_m:
         Safety clamp on the subdivision count.
     """

@@ -2,9 +2,10 @@
 
 :func:`format_table` prints a paper-style table with measured values
 next to the published ones.  :func:`shape_checks` evaluates the
-reproduction criteria of DESIGN.md §4 — the orderings and rough factors
-that must hold for the reproduction to count, independent of absolute
-numbers.  :func:`markdown_table` emits the EXPERIMENTS.md sections.
+reproduction criteria — the orderings and rough factors that must hold
+for the reproduction to count, independent of absolute numbers (listed
+in its docstring).  :func:`markdown_table` renders the same comparison
+as Markdown (``repro table --markdown``).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def format_table(result: TableResult, *, show_paper: bool = True) -> str:
 
 
 def markdown_table(result: TableResult) -> str:
-    """Markdown rendering for EXPERIMENTS.md (paper vs measured)."""
+    """Markdown rendering of a regenerated table (paper vs measured)."""
     spec = result.spec
     lines = [
         f"### Table {spec.table_id} — {spec.title}",
@@ -119,7 +120,7 @@ def _e_not_above(a, b, headroom: float = 1.01) -> bool:
 
 
 def shape_checks(result: TableResult) -> List[ShapeCheck]:
-    """Evaluate the DESIGN.md §4 shape criteria on a regenerated table.
+    """Evaluate the reproduction's shape criteria on a regenerated table.
 
     The criteria depend on the table family:
 

@@ -1,7 +1,7 @@
 """Parameter sweeps and ablations around the paper's design choices.
 
-These quantify the mechanisms behind the paper's results (DESIGN.md
-§4); ``tests/test_sweeps.py`` pins their headline claims:
+These quantify the mechanisms behind the paper's results;
+``tests/test_sweeps.py`` pins their headline claims:
 
 * :func:`fixed_m_study` — is the *adaptive* choice of ``m`` (procedure
   ``num_SCP``) actually better than any fixed subdivision?

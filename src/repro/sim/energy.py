@@ -10,20 +10,20 @@ system energy is
 The paper never states the absolute voltage of ``f1``; calibrating
 against the published tables fixes ``V(f) = sqrt(2·f)`` (energy per
 cycle per processor ``2f``: 2 at ``f1 = 1``, 4 at ``f2 = 2``, hence the
-tables' system totals of ``4·cycles`` and ``8·cycles``).  See DESIGN.md
-§2 and EXPERIMENTS.md.  A linear ``V(f) = f`` map is available for
-sensitivity studies.
+tables' system totals of ``4·cycles`` and ``8·cycles``; the published
+energies are in :mod:`repro.experiments.paper_data`).  A linear
+``V(f) = f`` map is available for sensitivity studies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.dvs import SpeedLadder
 from repro.errors import ParameterError
 
-__all__ = ["EnergyModel", "EnergyAccount"]
+__all__ = ["EnergyModel"]
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,3 @@ class EnergyModel:
     def from_ladder(cls, ladder: SpeedLadder, n_processors: int = 2) -> "EnergyModel":
         """Use the voltages recorded on a :class:`SpeedLadder`."""
         return cls(voltage_of=ladder.voltage_of, n_processors=n_processors)
-
-
-@dataclass
-class EnergyAccount:
-    """Accumulates energy over the segments of one simulated run."""
-
-    model: EnergyModel
-    total: float = 0.0
-    cycles_by_frequency: Dict[float, float] = field(default_factory=dict)
-
-    def charge(self, frequency: float, cycles: float) -> float:
-        """Record a segment; returns the energy added."""
-        energy = self.model.segment_energy(frequency, cycles)
-        self.total += energy
-        self.cycles_by_frequency[frequency] = (
-            self.cycles_by_frequency.get(frequency, 0.0) + cycles
-        )
-        return energy
-
-    @property
-    def total_cycles(self) -> float:
-        """All cycles executed (useful + overhead + re-execution)."""
-        return sum(self.cycles_by_frequency.values())

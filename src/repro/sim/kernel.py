@@ -75,12 +75,7 @@ from repro.sim.executor import (
     default_energy_model,
 )
 from repro.sim.faults import FaultProcess, PoissonFaults, ScriptedFaults
-from repro.sim.montecarlo import (
-    CellAccumulator,
-    PolicyFactory,
-    RunSlab,
-    _worker_slab,
-)
+from repro.sim.montecarlo import CellAccumulator, PolicyFactory, _worker_slab
 from repro.sim.rng import RandomSource
 from repro.sim.state import ExecutionState
 from repro.sim.task import TaskSpec
@@ -194,7 +189,6 @@ def accumulate_range_fast(
     energy_model: Optional[EnergyModel] = None,
     faults_during_overhead: bool = False,
     limits: SimulationLimits = SimulationLimits(),
-    slab: Optional[RunSlab] = None,
     resolution: int = ReplanTable.DEFAULT_RESOLUTION,
 ) -> CellAccumulator:
     """Reps ``[start, stop)`` of a cell through the fast kernel.
@@ -230,12 +224,8 @@ def accumulate_range_fast(
             energy_model=energy_model,
             faults_during_overhead=faults_during_overhead,
             limits=limits,
-            slab=slab,
         )
-    if slab is None:
-        slab = _worker_slab(count)
-    else:
-        slab.ensure(count)
+    slab = _worker_slab(count)
 
     # -- initial (speed, plan): every rep starts identically ----------
     state = ExecutionState.fresh(task)

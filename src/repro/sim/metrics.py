@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.errors import ParameterError
 
@@ -561,9 +561,3 @@ class MomentAccumulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MomentAccumulator(n={self.count}, mean={self.mean!r})"
-
-
-def describe(estimate: Optional[MeanEstimate]) -> str:  # pragma: no cover - helper
-    if estimate is None or estimate.is_nan:
-        return "NaN"
-    return f"{estimate.value:.0f}"

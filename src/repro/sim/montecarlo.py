@@ -63,44 +63,10 @@ __all__ = [
     "RunSlab",
     "accumulate_range",
     "estimate",
-    "run_many",
     "run_range",
 ]
 
 PolicyFactory = Callable[[], "CheckpointPolicy"]
-
-
-def run_many(
-    task: TaskSpec,
-    policy_factory: PolicyFactory,
-    *,
-    reps: int,
-    seed: int = 0,
-    faults: Optional[FaultProcess] = None,
-    energy_model: Optional[EnergyModel] = None,
-    faults_during_overhead: bool = False,
-    limits: SimulationLimits = SimulationLimits(),
-) -> List[RunResult]:
-    """Execute ``reps`` independent runs and return every result.
-
-    ``policy_factory`` must build a fresh policy per run (policies cache
-    plans).  Fault realisations come from independent substreams of
-    ``seed``, so results are reproducible and adding reps never changes
-    earlier runs.
-    """
-    if reps <= 0:
-        raise ParameterError(f"reps must be > 0, got {reps}")
-    return run_range(
-        task,
-        policy_factory,
-        start=0,
-        stop=reps,
-        seed=seed,
-        faults=faults,
-        energy_model=energy_model,
-        faults_during_overhead=faults_during_overhead,
-        limits=limits,
-    )
 
 
 def run_range(
@@ -115,12 +81,15 @@ def run_range(
     faults_during_overhead: bool = False,
     limits: SimulationLimits = SimulationLimits(),
 ) -> List[RunResult]:
-    """Execute reps ``start .. stop-1`` of a cell (one shard of it).
+    """Execute reps ``start .. stop-1`` of a cell and return every result.
 
-    Rep ``i`` draws from ``RandomSource(seed).substream(i)`` whatever
-    the range bounds, so concatenating shard results in rep order
-    reproduces :func:`run_many` exactly — the contract the parallel
-    batch runner relies on.
+    ``policy_factory`` must build a fresh policy per run (policies cache
+    plans).  Rep ``i`` draws from ``RandomSource(seed).substream(i)``
+    whatever the range bounds, so results are reproducible, growing
+    ``stop`` never changes earlier reps, and concatenating shards in
+    rep order reproduces one ``[0, reps)`` range exactly.  This is the
+    per-rep reference that :func:`accumulate_range`, the path every
+    backend runs, is held to bit for bit.
     """
     if start < 0 or stop < start:
         raise ParameterError(f"need 0 <= start <= stop, got [{start}, {stop})")
@@ -324,13 +293,6 @@ class CellExpectation:
         )
 
 
-def summarize(results: List[RunResult]) -> CellEstimate:
-    """Aggregate raw run results into a :class:`CellEstimate`."""
-    if not results:
-        raise ParameterError("cannot summarise zero results")
-    return CellAccumulator().add_all(results).finalize()
-
-
 class RunSlab:
     """Reusable per-worker scratch arrays for one block of reps.
 
@@ -420,7 +382,6 @@ def accumulate_range(
     energy_model: Optional[EnergyModel] = None,
     faults_during_overhead: bool = False,
     limits: SimulationLimits = SimulationLimits(),
-    slab: Optional[RunSlab] = None,
     kernel: str = "exact",
 ) -> CellAccumulator:
     """Reps ``[start, stop)`` of a cell, folded through a slab.
@@ -459,7 +420,6 @@ def accumulate_range(
             energy_model=energy_model,
             faults_during_overhead=faults_during_overhead,
             limits=limits,
-            slab=slab,
         )
     if start < 0 or stop < start:
         raise ParameterError(f"need 0 <= start <= stop, got [{start}, {stop})")
@@ -470,10 +430,7 @@ def accumulate_range(
         faults = PoissonFaults(task.fault_rate)
     if energy_model is None:
         energy_model = default_energy_model()
-    if slab is None:
-        slab = _worker_slab(count)
-    else:
-        slab.ensure(count)
+    slab = _worker_slab(count)
     timely = slab.timely
     energy = slab.energy
     finish = slab.finish

@@ -9,8 +9,7 @@ and speed decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.sim.task import TaskSpec
 
@@ -36,7 +35,6 @@ class ExecutionState:
     checkpoints: int = 0
     sub_checkpoints: int = 0
     rollbacks: int = 0
-    counters: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, task: TaskSpec) -> "ExecutionState":

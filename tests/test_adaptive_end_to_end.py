@@ -6,16 +6,21 @@ externally visible consequences (speed switches, interval changes,
 budget decrements) rather than re-deriving every timestamp.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core.checkpoints import CostModel
+from repro.core.dvs import SpeedLadder
 from repro.core.schemes import (
     AdaptiveCCPPolicy,
+    AdaptiveConfig,
     AdaptiveDVSPolicy,
     AdaptiveSCPPolicy,
 )
 from repro.sim.executor import simulate_run
 from repro.sim.faults import ScriptedFaults
+from repro.sim.montecarlo import estimate
 from repro.sim.task import TaskSpec
 from repro.sim.trace import Trace
 
@@ -136,3 +141,43 @@ class TestAdaptiveCCP:
         result = simulate_run(task, AdaptiveCCPPolicy(), ScriptedFaults(faults))
         assert result.completed
         assert result.detected_faults >= 5
+
+
+class TestMultiLevelLadder:
+    """Ladders finer than the paper's two speeds: the adaptive rule
+    picks the slowest level whose ``t_est`` meets the deadline."""
+
+    @staticmethod
+    def tight_task():
+        # U = 0.92 at f1 is infeasible: the paper ladder must run at f2.
+        return make_task(cycles=9_200.0, fault_rate=1e-4, fault_budget=1)
+
+    def test_four_levels_save_timely_energy(self):
+        four = AdaptiveConfig(
+            ladder=SpeedLadder.from_frequencies(
+                tuple(1.0 + i / 3 for i in range(4))
+            )
+        )
+        task = self.tight_task()
+        paper = estimate(task, AdaptiveSCPPolicy, reps=120, seed=23)
+        fine = estimate(
+            task, partial(AdaptiveSCPPolicy, four), reps=120, seed=23
+        )
+        assert 1.0 - fine.e / paper.e > 0.10
+        assert fine.p >= 0.9
+
+    def test_drops_a_level_after_a_fault(self):
+        three = AdaptiveConfig(
+            ladder=SpeedLadder.from_frequencies((1.0, 1.5, 2.0))
+        )
+        trace = Trace()
+        result = simulate_run(
+            self.tight_task(),
+            AdaptiveSCPPolicy(three),
+            ScriptedFaults([500.0]),
+            recorder=trace,
+        )
+        assert [s.frequency for s in trace.speeds] == [1.5, 1.0]
+        assert trace.speeds[1].time > 500.0
+        assert result.detected_faults == 1
+        assert result.completed and result.timely

@@ -28,7 +28,7 @@ CONSTANT_HOMES = {
 
 class TestPublicSurface:
     def test_all_names_resolve(self):
-        assert len(set(repro.__all__)) == len(repro.__all__) == 74
+        assert len(set(repro.__all__)) == len(repro.__all__) == 71
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ advertises missing {name}"
 
@@ -60,10 +60,6 @@ class TestPublicSurface:
             "repro.rts.feasibility",
             "repro.rts.scheduler",
             "repro.rts.taskset",
-            "repro.extensions",
-            "repro.extensions.multi_speed",
-            "repro.extensions.security",
-            "repro.extensions.tmr",
             "repro.experiments",
             "repro.experiments.config",
             "repro.experiments.paper_data",

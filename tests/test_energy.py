@@ -1,10 +1,10 @@
-"""Unit tests for the energy model and account."""
+"""Unit tests for the energy model."""
 
 import pytest
 
 from repro.core.dvs import SpeedLadder
 from repro.errors import ParameterError
-from repro.sim.energy import EnergyAccount, EnergyModel
+from repro.sim.energy import EnergyModel
 
 
 class TestEnergyModel:
@@ -36,18 +36,3 @@ class TestEnergyModel:
     def test_rejects_zero_processors(self):
         with pytest.raises(ParameterError):
             EnergyModel(voltage_of=lambda f: 1.0, n_processors=0)
-
-
-class TestEnergyAccount:
-    def test_accumulates_by_frequency(self):
-        account = EnergyAccount(EnergyModel.paper_dmr())
-        account.charge(1.0, 100.0)
-        account.charge(2.0, 50.0)
-        account.charge(1.0, 25.0)
-        assert account.total == pytest.approx(4 * 125 + 8 * 50)
-        assert account.cycles_by_frequency == {1.0: 125.0, 2.0: 50.0}
-        assert account.total_cycles == pytest.approx(175.0)
-
-    def test_charge_returns_segment_energy(self):
-        account = EnergyAccount(EnergyModel.paper_dmr())
-        assert account.charge(2.0, 10.0) == pytest.approx(80.0)

@@ -19,6 +19,7 @@ scheme runs: a fixed plan with interior CSCPs that is not
 ``plan_stable``, and a task with a non-zero rollback cost.
 """
 
+import threading
 from functools import partial
 
 import pytest
@@ -31,13 +32,9 @@ from repro.core.schemes import (
     KFaultTolerantPolicy,
     PoissonArrivalPolicy,
 )
+from repro.sim import montecarlo
 from repro.sim.faults import BurstyFaults, PoissonFaults, WeibullFaults
-from repro.sim.montecarlo import (
-    CellAccumulator,
-    RunSlab,
-    accumulate_range,
-    run_range,
-)
+from repro.sim.montecarlo import CellAccumulator, accumulate_range, run_range
 from repro.sim.executor import execute_once, simulate_run
 from repro.sim.rng import RandomSource
 from repro.sim.task import TaskSpec
@@ -190,23 +187,25 @@ def test_slab_block_split_invariance():
     assert repr(left.merge(right).finalize()) == repr(whole.finalize())
 
 
-def test_slab_reuse_does_not_leak_between_blocks():
+def test_slab_reuse_does_not_leak_between_blocks(monkeypatch):
     """A worker's slab is reused; stale rows must never contaminate a
     later, smaller block."""
+    monkeypatch.setattr(montecarlo, "_SLAB_STORE", threading.local())
     task = _task()
-    slab = RunSlab(8)
-    big = accumulate_range(
-        task, AdaptiveSCPPolicy, start=0, stop=30, seed=7, slab=slab
-    )
+    big = accumulate_range(task, AdaptiveSCPPolicy, start=0, stop=300, seed=7)
+    slab = montecarlo._SLAB_STORE.slab
+    assert slab.capacity == 300  # grown past the 256-row default
+    folded = repr(big.finalize())
     small = accumulate_range(
-        task, PoissonArrivalPolicy, start=5, stop=12, seed=7, slab=slab
+        task, PoissonArrivalPolicy, start=5, stop=12, seed=7
     )
+    assert montecarlo._SLAB_STORE.slab is slab  # the same rows, reused
     reference = CellAccumulator().add_all(
         run_range(task, PoissonArrivalPolicy, start=5, stop=12, seed=7)
     )
     assert small.reps == 7
     assert repr(small.finalize()) == repr(reference.finalize())
-    assert big.reps == 30  # earlier fold untouched by later reuse
+    assert repr(big.finalize()) == folded  # earlier fold untouched by reuse
 
 
 def test_empty_range_yields_empty_accumulator():

@@ -18,7 +18,7 @@ from repro.core.analysis import (
 from repro.core.checkpoints import CostModel
 from repro.sim.executor import simulate_run
 from repro.sim.faults import PoissonFaults
-from repro.sim.montecarlo import run_many, summarize
+from repro.sim.montecarlo import CellAccumulator, run_range
 from repro.sim.task import TaskSpec
 
 from tests.conftest import make_fixed_policy
@@ -27,10 +27,11 @@ COSTS = CostModel.scp_favourable()
 
 
 def run_cells(task, interval, reps, seed, frequency=1.0):
-    return run_many(
+    return run_range(
         task,
         lambda: make_fixed_policy(interval_time=interval, frequency=frequency),
-        reps=reps,
+        start=0,
+        stop=reps,
         seed=seed,
     )
 
@@ -133,7 +134,7 @@ class TestEnergyConsistency:
         schedule = static_schedule(1000.0, 100.0, checkpoint_cost=22.0, rate=2e-3)
         expected_time = static_expected_time(schedule)
         results = run_cells(task, interval=100.0, reps=4000, seed=31)
-        cell = summarize(results)
+        cell = CellAccumulator().add_all(results).finalize()
         # At f1, energy = 4·cycles = 4·time.
         assert cell.energy_all.value == pytest.approx(4 * expected_time, rel=0.02)
 
@@ -145,19 +146,21 @@ class TestEnergyConsistency:
             fault_rate=1e-3,
             costs=COSTS,
         )
-        single = run_many(
+        single = run_range(
             task,
             lambda: make_fixed_policy(interval_time=100.0),
-            reps=3000,
+            start=0,
+            stop=3000,
             seed=37,
             faults=PoissonFaults(1e-3),
         )
         from repro.sim.faults import DualPoissonFaults
 
-        dual = run_many(
+        dual = run_range(
             task,
             lambda: make_fixed_policy(interval_time=100.0),
-            reps=3000,
+            start=0,
+            stop=3000,
             seed=37,
             faults=DualPoissonFaults(1e-3),
         )

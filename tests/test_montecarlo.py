@@ -7,7 +7,7 @@ import pytest
 from repro.core.checkpoints import CostModel
 from repro.core.schemes import AdaptiveSCPPolicy, PoissonArrivalPolicy
 from repro.errors import ParameterError
-from repro.sim.montecarlo import estimate, run_many, summarize
+from repro.sim.montecarlo import CellAccumulator, estimate, run_range
 from repro.sim.task import TaskSpec
 
 from tests.conftest import make_fixed_policy
@@ -24,32 +24,38 @@ def task():
     )
 
 
-class TestRunMany:
+def runs(task, *, stop, seed):
+    return run_range(
+        task, lambda: PoissonArrivalPolicy(1.0), start=0, stop=stop, seed=seed
+    )
+
+
+class TestRunRange:
     def test_reproducible_with_seed(self, task):
-        a = run_many(task, lambda: PoissonArrivalPolicy(1.0), reps=50, seed=9)
-        b = run_many(task, lambda: PoissonArrivalPolicy(1.0), reps=50, seed=9)
+        a = runs(task, stop=50, seed=9)
+        b = runs(task, stop=50, seed=9)
         assert [r.finish_time for r in a] == [r.finish_time for r in b]
         assert [r.energy for r in a] == [r.energy for r in b]
 
     def test_different_seed_differs(self, task):
-        a = run_many(task, lambda: PoissonArrivalPolicy(1.0), reps=50, seed=1)
-        b = run_many(task, lambda: PoissonArrivalPolicy(1.0), reps=50, seed=2)
+        a = runs(task, stop=50, seed=1)
+        b = runs(task, stop=50, seed=2)
         assert [r.finish_time for r in a] != [r.finish_time for r in b]
 
     def test_prefix_stability(self, task):
-        # Growing reps must not change earlier runs.
-        short = run_many(task, lambda: PoissonArrivalPolicy(1.0), reps=20, seed=3)
-        long = run_many(task, lambda: PoissonArrivalPolicy(1.0), reps=40, seed=3)
+        # Growing the range must not change earlier runs.
+        short = runs(task, stop=20, seed=3)
+        long = runs(task, stop=40, seed=3)
         assert [r.finish_time for r in short] == [
             r.finish_time for r in long[:20]
         ]
 
-    def test_rejects_zero_reps(self, task):
-        with pytest.raises(ParameterError):
-            run_many(task, AdaptiveSCPPolicy, reps=0)
-
 
 class TestEstimate:
+    def test_rejects_zero_reps(self, task):
+        with pytest.raises(ParameterError):
+            estimate(task, AdaptiveSCPPolicy, reps=0)
+
     def test_fields_populated(self, task):
         cell = estimate(task, AdaptiveSCPPolicy, reps=100, seed=5)
         assert 0.0 <= cell.p <= 1.0
@@ -90,16 +96,10 @@ class TestEstimate:
         assert cell.mean_finish_time_timely == pytest.approx(122.0)
 
 
-class TestSummarize:
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            summarize([])
-
+class TestCellAccumulator:
     def test_counts(self, task):
-        results = run_many(
-            task, lambda: PoissonArrivalPolicy(1.0), reps=30, seed=4
-        )
-        cell = summarize(results)
+        results = runs(task, stop=30, seed=4)
+        cell = CellAccumulator().add_all(results).finalize()
         timely = sum(1 for r in results if r.timely)
         assert cell.p == pytest.approx(timely / 30)
         assert cell.reps == 30

@@ -120,6 +120,18 @@ class TestNumSCP:
         with pytest.raises(ParameterError):
             num_scp(100.0, rate=1e-3, store=TS, compare=TCP, max_m=0)
 
+    def test_expensive_store_discourages_subdivision(self):
+        # The SCP twin of TestNumCCP's expensive-compare test: a dearer
+        # store never buys more stores per interval.
+        stores = [2.0 + i for i in range(101)]
+        ms = [
+            num_scp(200.0, rate=1.4e-3, store=store, compare=TCP).m
+            for store in stores
+        ]
+        assert all(b <= a for a, b in zip(ms, ms[1:])), ms
+        assert ms[0] == 4
+        assert set(ms[stores.index(14.0):]) == {1}
+
 
 class TestNumCCP:
     @pytest.mark.parametrize("span,rate", scp_cases())

@@ -21,7 +21,7 @@ from repro.core.schemes import AdaptiveSCPPolicy, PoissonArrivalPolicy
 from repro.errors import ParameterError
 from repro.sim.backends import plan_blocks
 from repro.sim.executor import RunResult
-from repro.sim.montecarlo import CellAccumulator, estimate, run_many, summarize
+from repro.sim.montecarlo import CellAccumulator, estimate, run_range
 from repro.sim.parallel import (
     DEFAULT_BLOCK_SIZE,
     BatchRunner,
@@ -150,9 +150,9 @@ class TestMergeSemantics:
             right = CellAccumulator().add_all(results[split:])
             assert left.merge(right).finalize() == single
 
-    def test_merge_equals_summarize(self, task):
-        results = run_many(
-            task, partial(PoissonArrivalPolicy, 1.0), reps=30, seed=21
+    def test_merge_equals_one_pass(self, task):
+        results = run_range(
+            task, partial(PoissonArrivalPolicy, 1.0), start=0, stop=30, seed=21
         )
         merged = (
             CellAccumulator()
@@ -160,7 +160,7 @@ class TestMergeSemantics:
             .merge(CellAccumulator().add_all(results[13:]))
             .finalize()
         )
-        assert merged == summarize(results)
+        assert merged == CellAccumulator().add_all(results).finalize()
 
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ParameterError):
@@ -301,10 +301,10 @@ class TestPayloadSize:
     def test_shard_payload_does_not_grow_with_reps(self, task):
         factory = partial(PoissonArrivalPolicy, 1.0)
         small = CellAccumulator().add_all(
-            run_many(task, factory, reps=20, seed=1)
+            run_range(task, factory, start=0, stop=20, seed=1)
         )
         large = CellAccumulator().add_all(
-            run_many(task, factory, reps=400, seed=1)
+            run_range(task, factory, start=0, stop=400, seed=1)
         )
         small_bytes = len(pickle.dumps(small))
         large_bytes = len(pickle.dumps(large))

@@ -44,4 +44,3 @@ class TestExecutionState:
         state = ExecutionState.fresh(task)
         assert state.detected_faults == 0
         assert state.checkpoints == 0
-        assert state.counters == {}

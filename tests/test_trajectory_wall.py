@@ -13,9 +13,10 @@ field bit for bit (``-0.0`` is not ``0.0``):
   ``faults_during_overhead`` settings;
 * Hypothesis-drawn cells: work and deadline (fault-free-infeasible
   deadlines included), store, compare and rollback costs (zero and
-  not), λ, speed, static and adaptive schemes, under Poisson,
-  dual-Poisson, Weibull, bursty and scripted faults, with scripted
-  arrivals at ``0.0`` and exactly on segment ends;
+  not), λ, static schemes at either speed and adaptive ones on a
+  2–5-level ladder over ``[1, 2]``, under Poisson, dual-Poisson,
+  Weibull, bursty and scripted faults, with scripted arrivals at
+  ``0.0`` and exactly on segment ends;
 * a static policy whose plan subdivides (``m > 1``), which must not
   take the static walk.
 """
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.api.plans import table_cells
 from repro.core.checkpoints import CheckpointKind, CostModel
+from repro.core.dvs import SpeedLadder
 from repro.core.schemes import (
     AdaptiveCCPPolicy,
     AdaptiveConfig,
@@ -177,17 +179,27 @@ def _segment_ends(task, factory, faults, overhead, seed):
     return recorder.ends
 
 
-#: A free store or compare lets num_SCP/num_CCP pick the largest m, so
-#: drawn adaptive cells cap it to keep each example fast.
-_DRAWN = AdaptiveConfig(max_m=32)
-
 SCHEMES = {
-    "Poisson": lambda f: partial(PoissonArrivalPolicy, f),
-    "k-f-t": lambda f: partial(KFaultTolerantPolicy, f),
-    "A_D": lambda f: partial(AdaptiveDVSPolicy, _DRAWN),
-    "A_D_S": lambda f: partial(AdaptiveSCPPolicy, _DRAWN),
-    "A_D_C": lambda f: partial(AdaptiveCCPPolicy, _DRAWN),
+    "Poisson": PoissonArrivalPolicy,
+    "k-f-t": KFaultTolerantPolicy,
+    "A_D": AdaptiveDVSPolicy,
+    "A_D_S": AdaptiveSCPPolicy,
+    "A_D_C": AdaptiveCCPPolicy,
 }
+
+
+def _adaptive_config(draw):
+    """A ladder of 2–5 levels over [1, 2] (the inner ones drawn), so
+    replans also run the per-level constants of ladders longer than the
+    paper's.  A free store or compare lets num_SCP/num_CCP pick the
+    largest m, so ``max_m`` is capped to keep each example fast."""
+    inner = draw(st.lists(
+        st.floats(min_value=1.0, max_value=2.0, exclude_min=True,
+                  exclude_max=True),
+        max_size=3, unique=True,
+    ))
+    ladder = SpeedLadder.from_frequencies((1.0, *sorted(inner), 2.0))
+    return AdaptiveConfig(ladder=ladder, max_m=32)
 
 PROCESSES = ["poisson", "dual", "weibull", "bursty", "scripted"]
 
@@ -232,8 +244,11 @@ def test_drawn_cells_match_the_plain_loop(data):
         costs=costs,
     )
     scheme = draw(st.sampled_from(sorted(SCHEMES)))
-    frequency = draw(st.sampled_from([1.0, 2.0]))
-    factory = SCHEMES[scheme](frequency)
+    if scheme in STATIC:
+        setting = draw(st.sampled_from([1.0, 2.0]))
+    else:
+        setting = _adaptive_config(draw)
+    factory = partial(SCHEMES[scheme], setting)
     overhead = draw(st.booleans())
     process = draw(st.sampled_from(PROCESSES))
     if process == "scripted":
