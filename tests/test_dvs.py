@@ -118,3 +118,62 @@ class TestSpeedLadder:
         ladder = SpeedLadder.from_frequencies((1.0, 2.0), voltage_exponent=1.0)
         # V = sqrt(2)·f
         assert ladder.voltage_of(2.0) == pytest.approx(2.0 * math.sqrt(2))
+
+    def test_from_frequencies_scales_every_level(self):
+        ladder = SpeedLadder.from_frequencies(tuple(1.0 + i / 3 for i in range(4)))
+        assert ladder.minimum == 1.0
+        assert ladder.maximum == 2.0
+        assert ladder.frequencies == pytest.approx((1.0, 4 / 3, 5 / 3, 2.0))
+        for f, v in zip(ladder.frequencies, ladder.voltages):
+            assert v == pytest.approx(math.sqrt(2 * f))
+
+    def test_from_frequencies_validates(self):
+        for frequencies in [(), (2.0, 1.0), (1.0, 1.0, 2.0), (0.0, 1.0)]:
+            with pytest.raises(ParameterError):
+                SpeedLadder.from_frequencies(frequencies)
+
+    def test_single_level_ladder(self):
+        ladder = SpeedLadder.from_frequencies((1.0,))
+        assert ladder.minimum == ladder.maximum == 1.0
+        for work in (100.0, 50_000.0):  # feasible, then not
+            assert ladder.select_speed(
+                work, 10_000.0, rate=1e-4, checkpoint_cycles=22
+            ) == 1.0
+
+    def test_select_speed_is_slowest_level_meeting_t_est(self):
+        # The memoised per-level factors must decide exactly as
+        # estimated_completion_time does, level by level.
+        ladder = SpeedLadder.from_frequencies((1.0, 1.1, 1.25, 1.6, 2.0))
+        rate, c, deadline = 1e-3, 22.0, 10_000.0
+        for work in [0.0, 500.0] + [1000.0 * k for k in range(6, 22)]:
+            expected = next(
+                (
+                    f
+                    for f in ladder.frequencies
+                    if estimated_completion_time(
+                        work, f, rate=rate, checkpoint_cycles=c
+                    )
+                    <= deadline
+                ),
+                ladder.maximum,
+            )
+            assert ladder.select_speed(
+                work, deadline, rate=rate, checkpoint_cycles=c
+            ) == expected, work
+
+    def test_skips_levels_without_finite_estimate(self):
+        # λc/f = 1.1 at f1: no finite t_est there, however small the
+        # work; at 1.25 and above the overhead no longer saturates.
+        ladder = SpeedLadder.from_frequencies((1.0, 1.25, 2.0))
+        assert ladder.select_speed(
+            1.0, 10_000.0, rate=0.05, checkpoint_cycles=22
+        ) == 1.25
+
+    def test_select_speed_rejects_bad_inputs(self):
+        ladder = SpeedLadder.paper_two_level()
+        with pytest.raises(ParameterError):
+            ladder.select_speed(-1.0, 100.0, rate=1e-3, checkpoint_cycles=22)
+        with pytest.raises(ParameterError):
+            ladder.select_speed(1.0, 100.0, rate=-1e-3, checkpoint_cycles=22)
+        with pytest.raises(ParameterError):
+            ladder.select_speed(1.0, 100.0, rate=1e-3, checkpoint_cycles=-1)

@@ -16,7 +16,9 @@ here exactly (``repr`` equality — float-for-float, NaN-aware):
 
 Besides the five schemes, :data:`FACTORIES` covers what no in-repo
 scheme runs: a fixed plan with interior CSCPs that is not
-``plan_stable``, and a task with a non-zero rollback cost.
+``plan_stable``, a task with a non-zero rollback cost, and adaptive
+schemes on ladders finer than the paper's two speeds, whose replans
+pick among inner levels.
 """
 
 import threading
@@ -25,13 +27,16 @@ from functools import partial
 import pytest
 
 from repro.core.checkpoints import CheckpointKind, CostModel
+from repro.core.dvs import SpeedLadder
 from repro.core.schemes import (
     AdaptiveCCPPolicy,
+    AdaptiveConfig,
     AdaptiveDVSPolicy,
     AdaptiveSCPPolicy,
     KFaultTolerantPolicy,
     PoissonArrivalPolicy,
 )
+from repro.errors import ParameterError
 from repro.sim import montecarlo
 from repro.sim.faults import BurstyFaults, PoissonFaults, WeibullFaults
 from repro.sim.montecarlo import CellAccumulator, accumulate_range, run_range
@@ -64,6 +69,13 @@ def _task(costs: str = "scp") -> TaskSpec:
     )
 
 
+FOUR_LEVELS = AdaptiveConfig(
+    ladder=SpeedLadder.from_frequencies(tuple(1.0 + i / 3 for i in range(4)))
+)
+THREE_LEVELS = AdaptiveConfig(
+    ladder=SpeedLadder.from_frequencies((1.0, 1.25, 2.0))
+)
+
 FACTORIES = [
     ("Poisson", partial(PoissonArrivalPolicy, 1.0), "scp"),
     ("k-f-t", partial(KFaultTolerantPolicy, 1.0), "scp"),
@@ -77,6 +89,17 @@ FACTORIES = [
         "scp",
     ),
     ("A_D_S-rollback", AdaptiveSCPPolicy, "rollback"),
+    # t_est rules f1 out at the start: runs start at the first inner
+    # level, and replans move them to f1 and, in a few runs, up to 5/3
+    # or f2.
+    ("A_D-4level", partial(AdaptiveDVSPolicy, FOUR_LEVELS), "scp"),
+    ("A_D_S-4level", partial(AdaptiveSCPPolicy, FOUR_LEVELS), "scp"),
+    ("A_D_C-4level", partial(AdaptiveCCPPolicy, FOUR_LEVELS), "ccp"),
+    (
+        "A_D_S-3level-rollback",
+        partial(AdaptiveSCPPolicy, THREE_LEVELS),
+        "rollback",
+    ),
 ]
 
 
@@ -212,3 +235,10 @@ def test_empty_range_yields_empty_accumulator():
     task = _task()
     accumulator = accumulate_range(task, AdaptiveSCPPolicy, start=5, stop=5, seed=0)
     assert accumulator.reps == 0
+
+
+def test_rejects_bad_range():
+    task = _task()
+    for start, stop in [(-1, 3), (5, 3)]:
+        with pytest.raises(ParameterError):
+            accumulate_range(task, AdaptiveSCPPolicy, start=start, stop=stop)

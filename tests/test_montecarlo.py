@@ -50,6 +50,21 @@ class TestRunRange:
             r.finish_time for r in long[:20]
         ]
 
+    def test_shards_concatenate_to_one_range(self, task):
+        whole = runs(task, stop=30, seed=6)
+        shards = runs(task, stop=13, seed=6) + run_range(
+            task, lambda: PoissonArrivalPolicy(1.0), start=13, stop=30, seed=6
+        )
+        assert [repr(r) for r in shards] == [repr(r) for r in whole]
+
+    def test_empty_range(self, task):
+        assert run_range(task, AdaptiveSCPPolicy, start=4, stop=4) == []
+
+    def test_rejects_bad_range(self, task):
+        for start, stop in [(-1, 3), (5, 3)]:
+            with pytest.raises(ParameterError):
+                run_range(task, AdaptiveSCPPolicy, start=start, stop=stop)
+
 
 class TestEstimate:
     def test_rejects_zero_reps(self, task):
