@@ -1,15 +1,18 @@
-"""Façade overhead gate: Study/Session vs direct ``run_table``.
+"""Façade overhead gate: Study.run vs the session's bare cell batch.
 
 The declarative façade (``repro.api``) wraps every experiment in cell
-planning, provenance stamping and ResultSet assembly.  All of that is
-O(cells) Python bookkeeping around the same Monte-Carlo work, so it
-must be invisible at experiment scale.  This benchmark is the contract:
+planning, cell identities, provenance stamping and ResultSet assembly.
+All of that is O(cells) Python bookkeeping around the same Monte-Carlo
+work, so it must be invisible at experiment scale.  This benchmark is
+the contract:
 
-* run the same table once through ``run_table`` (direct) and once
-  through ``Study.run`` on a borrowed serial session (façade), timing
-  both (best of ``--repeats`` passes);
+* run the same table once directly — its ``table_cells`` plans
+  dispatched as one ``Session.run_cells`` batch, nothing else — and
+  once through ``Study.run`` (façade), both on one serial
+  ``Session(chunk_size=...)``, timing both (interleaved, best of
+  ``--repeats`` passes);
 * **assert bit-identity**: every façade cell estimate must equal the
-  direct call's (``CellEstimate.same_values``);
+  direct batch's, in plan order (``CellEstimate.same_values``);
 * **gate the overhead**: the façade's reps/s must be within
   ``--max-overhead`` (default 5%) of the direct path's.  The gate has
   an absolute noise floor (``--min-gap``, default 50 ms): a run only
@@ -34,52 +37,47 @@ import sys
 import time
 
 from repro.api import Session, Study, StudySpec
-from repro.experiments.tables import run_table
-from repro.sim.parallel import BatchRunner
+from repro.api.plans import table_cells
+from repro.experiments.config import table_spec
 
 TABLE = "1a"
 SEED = 2006
 
 
 def run_bench(reps: int, repeats: int, chunk_size: int) -> dict:
-    runner = BatchRunner.serial(chunk_size=chunk_size)
     spec = StudySpec(
         kind="table", table=TABLE, reps=reps, seed=SEED, fast_static=True
     )
-    session = Session(runner=runner)
 
     # The two paths are timed *interleaved* (direct, façade, direct,
     # façade, ...; best pass kept for each): machine-load drift across
     # the run then biases both sides equally instead of landing on
-    # whichever path happened to be measured second.  A fresh Study
-    # per façade pass keeps its cell-plan cache from eliding the
-    # O(cells) planning work the gate claims to cover.
+    # whichever path happened to be measured second.  Both expand the
+    # cell plans inside the timed region, and a fresh Study per façade
+    # pass keeps its cell-plan cache from eliding that work.
     direct_seconds = facade_seconds = float("inf")
     direct = results = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        direct = run_table(
-            TABLE, reps=reps, seed=SEED, runner=runner, fast_static=True
-        )
-        direct_seconds = min(direct_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        results = Study(spec).run(session)
-        facade_seconds = min(facade_seconds, time.perf_counter() - started)
-    study = Study(spec)
+    with Session(chunk_size=chunk_size) as session:
+        for _ in range(repeats):
+            started = time.perf_counter()
+            plans = table_cells(
+                table_spec(TABLE), reps=reps, seed=SEED, fast_static=True
+            )
+            direct = session.run_cells([plan.job for plan in plans])
+            direct_seconds = min(direct_seconds, time.perf_counter() - started)
+            started = time.perf_counter()
+            results = Study(spec).run(session)
+            facade_seconds = min(facade_seconds, time.perf_counter() - started)
 
-    identical = all(
-        results.estimate(plan.key).same_values(
-            direct.row(dict(plan.axes)["u"], dict(plan.axes)["lam"])
-            .cell(dict(plan.axes)["scheme"])
-            .measured
-        )
-        for plan in study.cells()
+    identical = len(results) == len(direct) and all(
+        record.estimate.same_values(estimate)
+        for record, estimate in zip(results, direct)
     )
-    total_reps = reps * len(study.cells())
+    total_reps = reps * len(direct)
     return {
         "table": TABLE,
         "reps_per_cell": reps,
-        "cells": len(study.cells()),
+        "cells": len(direct),
         "direct_seconds": direct_seconds,
         "facade_seconds": facade_seconds,
         "direct_reps_per_s": total_reps / direct_seconds,
@@ -133,8 +131,8 @@ def main(argv=None) -> int:
 
     ok = True
     if not report["identical"]:
-        print("FAIL: façade estimates are not bit-identical to run_table",
-              file=sys.stderr)
+        print("FAIL: façade estimates are not bit-identical to the direct "
+              "batch", file=sys.stderr)
         ok = False
     gap = report["facade_seconds"] - report["direct_seconds"]
     if report["overhead"] > args.max_overhead and gap > args.min_gap:

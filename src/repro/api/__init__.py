@@ -24,10 +24,6 @@ One import gives the whole pipeline::
   with full provenance, exact JSON round-trip (NaN included), CSV
   export, and merge of disjoint partial runs.
 
-The legacy entrypoints (``run_table``, ``fixed_m_study``,
-``utilization_sweep``, ``operating_map``, …) are thin shims over this
-façade and remain supported; estimates are bit-identical either way.
-
 Each name is imported from its module on first access, so
 ``from repro.api import ResultSet`` loads no simulator.
 """

@@ -3,17 +3,16 @@
 A *study* — a table regeneration, a fixed-m ablation, a utilisation
 sweep, an operating map — is ultimately a flat, ordered list of Monte-
 Carlo cells, each fully described by a picklable job.  This module is
-the single place that list is built: the declarative façade
-(:mod:`repro.api.spec`) and the legacy entrypoints (``run_table``,
-``fixed_m_study``, ``utilization_sweep``, ``operating_map``, …) both
-expand through these functions, so the two paths cannot drift — same
-cells, same seeds, same jobs, bit-identical estimates.
+the single place that list is built: every
+:class:`~repro.api.spec.StudySpec` kind expands through one of these
+functions — same cells, same seeds, same jobs on every backend and in
+the study service's cell cache.
 
 Seeding is part of the contract and is therefore frozen here:
 
 * table/row cells fork the root :class:`~repro.sim.rng.RandomSource`
   with a stable per-cell label (:func:`cell_label` — arithmetic, never
-  ``hash``), exactly as ``run_table`` always has;
+  ``hash``);
 * fixed-m and rate-factor cells share the study seed verbatim;
 * utilisation-sweep cells use ``seed + int(u * 1000)``;
 * operating-map cells use ``seed + int(u * 997) + int(lam * 1e7)``;
@@ -307,8 +306,8 @@ def fixed_m_cells(
     seed: int,
 ) -> List[CellPlan]:
     """Fixed-subdivision cells plus the adaptive ``num_SCP`` control."""
-    # Imported here: sweeps re-exports these plans, so a module-level
-    # import would be circular.
+    # Imported here so that expanding any other kind of study never
+    # loads the ablation module.
     from repro.core.schemes import AdaptiveSCPPolicy
     from repro.experiments.sweeps import FixedSubdivisionSCPPolicy
 

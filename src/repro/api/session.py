@@ -1,12 +1,10 @@
 """The execution session: one owned backend/runner, reused everywhere.
 
-Before the façade, every call built (and tore down) its own execution
-resources: ``run_table(backend="process")`` spun a pool up and released
-it, the next call paid the startup again.  A :class:`Session` owns one
-:class:`~repro.sim.parallel.BatchRunner` for its whole lifetime — built
-from one validated :class:`~repro.experiments.config.ExecutionSettings`
-(the single source of truth for *where things run*) — and every study,
-table or ad-hoc estimate run through it reuses the same workers::
+A :class:`Session` owns one :class:`~repro.sim.parallel.BatchRunner`
+for its whole lifetime — built from one validated
+:class:`~repro.experiments.config.ExecutionSettings` (the single source
+of truth for *where things run*) — and every study or ad-hoc estimate
+run through it reuses the same workers, so a process pool starts once::
 
     from repro.api import Session, StudySpec
 
@@ -46,25 +44,19 @@ class Session:
         An :class:`~repro.experiments.config.ExecutionSettings` — the
         one validated where-does-it-run selector.  Mutually exclusive
         with the keyword shorthand below.
-    runner:
-        Adopt an existing :class:`~repro.sim.parallel.BatchRunner`
-        instead of building one.  The session *borrows* it: ``close()``
-        leaves it running (whoever built it owns it).  This is how the
-        legacy entrypoints wrap their ``runner=`` argument.
     backend / workers / chunk_size / cluster_workers / url / kernel:
         Shorthand forwarded into a fresh ``ExecutionSettings`` —
         ``Session(backend="process", workers=8)`` reads like the CLI.
 
-    A session built from settings owns its runner and releases it on
-    :meth:`close` (or context-manager exit); a closed session rejects
-    further work instead of silently rebuilding resources.
+    The session owns its runner and releases it on :meth:`close` (or
+    context-manager exit); a closed session rejects further work
+    instead of silently rebuilding resources.
     """
 
     def __init__(
         self,
         settings: Optional[ExecutionSettings] = None,
         *,
-        runner: Optional[BatchRunner] = None,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
@@ -80,31 +72,20 @@ class Session:
             or url is not None
             or kernel is not None
         )
-        if runner is not None:
-            if settings is not None or shorthand:
-                raise ConfigurationError(
-                    "pass either runner= (adopt an existing runner) or "
-                    "settings/backend shorthand (build one), not both"
-                )
-            self.settings: Optional[ExecutionSettings] = None
-            self._runner = runner
-            self._owns_runner = False
-        else:
-            if settings is not None and shorthand:
-                raise ConfigurationError(
-                    "pass either settings= or the backend/workers/... "
-                    "shorthand, not both"
-                )
-            self.settings = settings or ExecutionSettings(
-                backend=backend,
-                workers=workers,
-                chunk_size=chunk_size,
-                cluster_workers=cluster_workers,
-                url=url,
-                kernel=kernel or "exact",
+        if settings is not None and shorthand:
+            raise ConfigurationError(
+                "pass either settings= or the backend/workers/... "
+                "shorthand, not both"
             )
-            self._runner = self.settings.make_runner() or BatchRunner.serial()
-            self._owns_runner = True
+        self.settings = settings or ExecutionSettings(
+            backend=backend,
+            workers=workers,
+            chunk_size=chunk_size,
+            cluster_workers=cluster_workers,
+            url=url,
+            kernel=kernel or "exact",
+        )
+        self._runner = self.settings.make_runner()
         self._closed = False
 
     # -- introspection -------------------------------------------------
@@ -127,14 +108,7 @@ class Session:
 
     @property
     def kernel(self) -> str:
-        """The session's default executor kernel (``exact``/``fast``).
-
-        Sessions that adopt a foreign runner carry no settings and
-        default to ``exact`` — the kernel is a job property, not a
-        runner one, so adopted runners lose nothing.
-        """
-        if self.settings is None:
-            return "exact"
+        """The session's default executor kernel (``exact``/``fast``)."""
         return self.settings.kernel
 
     def describe(self) -> str:
@@ -181,8 +155,8 @@ class Session:
         """One ad-hoc cell on this session's backend.
 
         The session-owned twin of :func:`repro.sim.montecarlo.estimate`
-        — same arguments (minus ``runner``/``backend``, which the
-        session supplies), same blocked reduction, same estimates.
+        — same arguments (minus ``runner``, which the session
+        supplies), same blocked reduction, same estimates.
         """
         from repro.sim.montecarlo import estimate as estimate_cell
 
@@ -207,8 +181,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self._owns_runner:
-            self._runner.close()
+        self._runner.close()
 
     def __enter__(self) -> "Session":
         return self

@@ -6,27 +6,14 @@ anchors the costs and schemes, which grid axes, how many reps, which
 seed.  It serialises to/from JSON (``repro run spec.json``), hashes
 stably (:attr:`StudySpec.spec_hash` — the provenance tag every
 :class:`~repro.api.results.ResultSet` record carries), and expands to
-the canonical cell list via :mod:`repro.api.plans`, so a spec run
-through the façade lands on the bit-identical estimates of the legacy
-entrypoint it describes.
+the canonical cell list via :mod:`repro.api.plans`.  The kinds are
+:data:`STUDY_KINDS`, each summarised in :data:`KIND_SUMMARIES`
+(``repro run --list-kinds``).
 
-Kinds and their legacy counterparts:
-
-==================  =====================================================
-``table``           ``repro.experiments.tables.run_table``
-``row``             ``repro.experiments.tables.run_row``
-``fixed_m``         ``repro.experiments.sweeps.fixed_m_study``
-``rate_factor``     ``repro.experiments.sweeps.rate_factor_study``
-``utilization``     ``repro.experiments.sweeps.utilization_sweep``
-``operating_map``   ``repro.experiments.sensitivity.operating_map``
-``taskset``         ``repro.workloads`` multi-task EDF/RM scenarios
-``frontier``        ``repro.workloads`` energy/time Pareto sweeps
-==================  =====================================================
-
-Unset ``reps``/``seed`` (and kind-specific axes) resolve to the same
-defaults the legacy entrypoint uses, so a minimal spec like
-``{"kind": "table", "table": "1a"}`` reproduces ``run_table("1a")``
-exactly.
+Unset ``reps``/``seed`` (and kind-specific axes) resolve to per-kind
+defaults (:meth:`StudySpec.resolved`), so a minimal spec like
+``{"kind": "table", "table": "1a"}`` is table 1a at 2000 reps and
+seed 2006, and hashes like its spelled-out twin.
 """
 
 from __future__ import annotations
@@ -55,7 +42,8 @@ from repro.rts.generators import WORKLOAD_PATTERNS
 
 __all__ = ["StudySpec", "STUDY_KINDS", "KIND_SUMMARIES"]
 
-#: Per-kind (reps, seed) defaults — the legacy entrypoints' own.
+#: Per-kind (reps, seed) defaults.  A minimal spec resolves to them
+#: before hashing, so changing one changes what existing specs mean.
 _KIND_DEFAULTS = {
     "table": (2000, 2006),
     "row": (2000, 2006),
@@ -69,7 +57,8 @@ _KIND_DEFAULTS = {
 
 #: Default fixed subdivisions (the CLI's ablation grid).
 _DEFAULT_MS = (1, 2, 4, 8, 16)
-#: Default analysis-rate factors (``rate_factor_study``'s own).
+#: Default analysis-rate factors: the simulation's λ and the paper's
+#: equations' 2λ.
 _DEFAULT_FACTORS = (1.0, 2.0)
 #: Taskset-study defaults: the curated pattern mix, a moderate
 #: utilization grid, and the workload engine's own parameters.
@@ -151,7 +140,7 @@ class StudySpec:
         fault budget, frequencies and scheme columns.
     reps / seed:
         Monte-Carlo repetitions per cell and the root seed.  ``None``
-        resolves to the matching legacy entrypoint's default.
+        resolves to the kind's default (``_KIND_DEFAULTS``).
     u / lam:
         The single (U, λ) point of a ``row`` study; the task anchor of
         ``fixed_m`` / ``rate_factor`` studies (``None`` = the table's
@@ -407,27 +396,24 @@ class StudySpec:
 
     # -- expansion -----------------------------------------------------
 
-    def cells(self, table: Optional[TableSpec] = None) -> List[CellPlan]:
+    def cells(self) -> List[CellPlan]:
         """The study's ordered cell list (see :mod:`repro.api.plans`).
 
-        ``table`` substitutes a custom :class:`TableSpec` for the
-        registry lookup — the hook :class:`~repro.api.study.Study` uses
-        so legacy callers holding a bespoke spec object still flow
-        through the canonical expansion.  A value the model rejects
-        (``lam < 0``, a rate that overflows the cell seed label) raises
+        A value the model rejects (``lam < 0``, a rate that overflows
+        the cell seed label) raises
         :class:`~repro.errors.ConfigurationError` naming the spec.
         """
         try:
-            return self._expand(table)
+            return self._expand()
         except (ParameterError, OverflowError) as exc:
             raise ConfigurationError(
                 f"{self.kind} study {self.spec_hash} cannot expand its "
                 f"cells: {exc}"
             ) from exc
 
-    def _expand(self, table: Optional[TableSpec]) -> List[CellPlan]:
+    def _expand(self) -> List[CellPlan]:
         spec = self.resolved()
-        tspec = table if table is not None else spec.resolve_table()
+        tspec = spec.resolve_table()
         if spec.kind == "table":
             return table_cells(
                 tspec,

@@ -1,7 +1,7 @@
 """Study: a spec bound to its cells, runnable and resumable.
 
 ``Study.run(session)`` is the one pipeline every experiment flows
-through now: expand the spec to its canonical cell list
+through: expand the spec to its canonical cell list
 (:mod:`repro.api.plans`), skip cells a partial
 :class:`~repro.api.results.ResultSet` already holds, and hand the rest
 to a :class:`~repro.api.scheduler.CellScheduler` — the shared compute
@@ -25,34 +25,20 @@ from repro.api.scheduler import CellScheduler, ProgressCallback
 from repro.api.session import Session
 from repro.api.spec import StudySpec
 from repro.errors import ConfigurationError
-from repro.experiments.config import TableSpec
 
 __all__ = ["Study"]
 
 
 class Study:
-    """A runnable study: a :class:`StudySpec` plus its resolved table.
+    """A runnable study: a :class:`StudySpec` bound to its cell list.
 
     Parameters
     ----------
     spec:
-        The declarative study description.
-    table:
-        Optional custom :class:`TableSpec` overriding the registry
-        lookup of ``spec.table`` — the hook that lets legacy callers
-        holding a bespoke spec object (``run_table(TableSpec(...))``)
-        flow through the façade.  Custom-table studies run and resume
-        normally but have no JSON form, and their :attr:`spec_hash` is
-        salted with a fingerprint of the table object so a resume
-        against a *different* custom table is rejected.
+        The declarative study description (or its JSON-object form).
     """
 
-    def __init__(
-        self,
-        spec: Union[StudySpec, dict],
-        *,
-        table: Optional[TableSpec] = None,
-    ) -> None:
+    def __init__(self, spec: Union[StudySpec, dict]) -> None:
         if isinstance(spec, dict):
             spec = StudySpec.from_dict(spec)
         if not isinstance(spec, StudySpec):
@@ -61,7 +47,6 @@ class Study:
                 f"{type(spec).__name__}"
             )
         self.spec = spec.resolved()
-        self.table = table
         self._cells: Optional[List[CellPlan]] = None
 
     @classmethod
@@ -70,27 +55,20 @@ class Study:
 
     @property
     def spec_hash(self) -> str:
-        """Provenance hash; includes the custom table's fingerprint."""
-        base = self.spec.spec_hash
-        if self.table is None:
-            return base
-        import hashlib
-
-        salt = hashlib.sha256(repr(self.table).encode()).hexdigest()[:8]
-        return f"{base}+{salt}"
+        """The spec's provenance hash (see :attr:`StudySpec.spec_hash`)."""
+        return self.spec.spec_hash
 
     def cells(self) -> List[CellPlan]:
         """The study's canonical, ordered cell list.
 
-        Computed once and cached (the spec is frozen and the table
-        fixed at construction): expansion forks a ``SeedSequence`` per
-        cell, which callers — ``run()``, CLI rendering, benchmarks —
-        should not pay repeatedly on grids of thousands.  Returns a
-        fresh list each call; the plans themselves are shared and
-        frozen.
+        Computed once and cached (the spec is frozen): expansion forks
+        a ``SeedSequence`` per cell, which callers — ``run()``, CLI
+        rendering, benchmarks — should not pay repeatedly on grids of
+        thousands.  Returns a fresh list each call; the plans
+        themselves are shared and frozen.
         """
         if self._cells is None:
-            self._cells = self.spec.cells(self.table)
+            self._cells = self.spec.cells()
         return list(self._cells)
 
     def missing(self, partial: Optional[ResultSet]) -> List[CellPlan]:
@@ -206,9 +184,7 @@ class Study:
             else:
                 assert resume is not None  # missing() guarantees coverage
                 records.append(resume.record(plan.key))
-        spec_payload = self.spec.to_dict() if self.table is None else None
-        return ResultSet(self.spec_hash, records, spec=spec_payload)
+        return ResultSet(self.spec_hash, records, spec=self.spec.to_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        custom = ", custom-table" if self.table is not None else ""
-        return f"Study({self.spec.kind!r}, table={self.spec.table!r}{custom})"
+        return f"Study({self.spec.kind!r}, table={self.spec.table!r})"

@@ -14,8 +14,7 @@ BACKEND_NAMES = ("serial", "process", "distributed")
 #: The kernel modes ``ExecutionSettings.kernel`` accepts.
 KERNEL_NAMES = ("exact", "fast")
 
-#: The study kinds the façade understands, each mirroring one legacy
-#: experiment entrypoint (see :mod:`repro.api.spec`).
+#: The study kinds the façade understands (see :mod:`repro.api.spec`).
 STUDY_KINDS = (
     "table",
     "row",

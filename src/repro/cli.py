@@ -16,9 +16,9 @@ Usage (installed as ``repro`` or via ``python -m repro``)::
     repro serve --cache ~/.repro-cells  # study service daemon (HTTP)
     repro submit spec.json --url ...    # run a spec on a daemon
 
-The Monte-Carlo commands are shims over the :mod:`repro.api` façade:
-each builds a declarative :class:`~repro.api.spec.StudySpec`, runs it
-in one :class:`~repro.api.session.Session`, and (with ``--out``) saves
+Every Monte-Carlo command runs through the :mod:`repro.api` façade:
+it describes each study as a :class:`~repro.api.spec.StudySpec`, runs
+it in one :class:`~repro.api.session.Session`, and (with ``--out``) saves
 the provenance-stamped :class:`~repro.api.results.ResultSet`;
 ``--resume`` reloads a partial ResultSet and computes only the missing
 cells.  ``repro run`` takes the spec as a JSON file directly.
@@ -629,24 +629,6 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_runner(args: argparse.Namespace) -> Optional["BatchRunner"]:
-    """The runner the execution flags describe (None = implicit serial).
-
-    All validation lives in :class:`~repro.experiments.config.
-    ExecutionSettings` — contradictory flag combinations raise a
-    :class:`~repro.errors.ConfigurationError`, which ``main`` reports
-    as exit code 2 like every other configuration problem.
-    """
-    from repro.experiments.config import ExecutionSettings
-
-    return ExecutionSettings.from_cli_args(args).make_runner()
-
-
-def _close_runner(runner: Optional["BatchRunner"]) -> None:
-    if runner is not None:
-        runner.close()
-
-
 def _load_resume(path: Optional[str]):
     """The partial ResultSet behind ``--resume`` (None = fresh run).
 
@@ -700,12 +682,10 @@ def _run_study(args: argparse.Namespace, study):
 
 def _table_result_from(study, results):
     """A rendered-table view of a table-kind study's ResultSet."""
-    from repro.experiments.config import table_spec
     from repro.experiments.tables import assemble_table_result
 
-    tspec = study.table if study.table is not None else table_spec(study.spec.table)
     return assemble_table_result(
-        tspec,
+        study.spec.resolve_table(),
         reps=study.spec.reps,
         seed=study.spec.seed,
         estimates=[record.estimate for record in results],
@@ -782,26 +762,25 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.experiments.config import all_table_specs
+    from repro.api import Session, Study, StudySpec
+    from repro.experiments.config import ExecutionSettings
     from repro.experiments.report import shape_checks
-    from repro.experiments.tables import run_table
 
     failures: List[str] = []
-    runner = _make_runner(args)
-    try:
-        for spec in all_table_specs():
-            result = run_table(
-                spec, reps=args.reps, seed=args.seed, runner=runner
+    with Session(ExecutionSettings.from_cli_args(args)) as session:
+        for table_id in TABLE_IDS:
+            study = Study(
+                StudySpec(
+                    kind="table", table=table_id, reps=args.reps, seed=args.seed
+                )
             )
-            checks = shape_checks(result)
+            checks = shape_checks(_table_result_from(study, study.run(session)))
             bad = [c for c in checks if not c.passed]
             status = "ok" if not bad else f"{len(bad)} FAILED"
-            print(f"table {spec.table_id}: {len(checks)} checks, {status}")
+            print(f"table {table_id}: {len(checks)} checks, {status}")
             for check in bad:
                 print(f"  {check}")
-                failures.append(f"{spec.table_id}: {check.name}")
-    finally:
-        _close_runner(runner)
+                failures.append(f"{table_id}: {check.name}")
     if failures:
         print(f"\n{len(failures)} shape criteria failed")
         return 1
@@ -945,7 +924,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     # Only now: --list-kinds and the usage error above load no numpy.
     from repro.api import Study
-    from repro.experiments.config import table_spec
     from repro.experiments.report import format_table
 
     study = Study.from_file(args.spec)
@@ -968,7 +946,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 render_operating_map,
             )
 
-            tspec = study.table or table_spec(spec.table)
+            tspec = spec.resolve_table()
             points = assemble_operating_points(
                 tspec,
                 study.cells(),

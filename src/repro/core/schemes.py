@@ -188,7 +188,7 @@ class AdaptiveConfig:
         pair-divergence factor 2 while its simulation injects a single
         stream at ``λ``; the default 1.0 keeps model and simulator
         consistent, 2.0 reproduces the printed equations verbatim.
-        :func:`~repro.experiments.sweeps.rate_factor_study` quantifies
+        A ``rate_factor`` :class:`~repro.api.spec.StudySpec` quantifies
         the gap.
     max_m:
         Safety clamp on the subdivision count.

@@ -51,14 +51,14 @@ class ExecutionSettings:
     """The one validated *where-does-it-run* selector.
 
     Every entry point that takes execution flags (the CLI's ``table`` /
-    ``validate`` / ``sweep`` commands, scripts building their own
-    runners) funnels them through this dataclass instead of re-deriving
-    "``--workers`` implies a process pool" by hand.  Validation happens
-    at construction — this is the only place that decides which option
-    suits which backend — and :meth:`make_runner` is the only code that
-    turns the options into a backend: it builds the matching
-    :class:`~repro.sim.parallel.BatchRunner` (or ``None`` for the
-    implicit serial default, which callers treat identically).
+    ``validate`` / ``sweep`` / ``run`` commands, a
+    :class:`~repro.api.Session`) funnels them through this dataclass
+    instead of re-deriving "``--workers`` implies a process pool" by
+    hand.  Validation happens at construction — this is the only place
+    that decides which option suits which backend — and
+    :meth:`make_runner` is the only code that turns the options into a
+    backend: it builds the matching
+    :class:`~repro.sim.parallel.BatchRunner`.
 
     Parameters
     ----------
@@ -227,14 +227,11 @@ class ExecutionSettings:
 
     def make_runner(self):
         """The :class:`~repro.sim.parallel.BatchRunner` these settings
-        describe, or ``None`` for the implicit serial default (byte-
-        identical to passing no runner at all)."""
+        describe (the in-process one for the serial backend)."""
         from repro.sim.parallel import BatchRunner
 
         resolved = self.resolved_backend
         if resolved == "serial":
-            if self.chunk_size is None:
-                return None
             return BatchRunner.serial(chunk_size=self.chunk_size)
         if resolved == "process":
             # An explicitly requested process pool honours workers

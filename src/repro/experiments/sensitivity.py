@@ -4,8 +4,10 @@ The paper evaluates four (U, λ) points per table; a user deciding
 whether to adopt A_D_S/A_D_C needs the whole operating map.  This
 module computes three views the paper implies but never plots:
 
-* :func:`operating_map` — for a (U, λ) grid, which scheme wins on P
-  (with an energy tie-break), rendered as an ASCII map;
+* :func:`assemble_operating_points` — for the (U, λ) grid of an
+  ``operating_map`` :class:`~repro.api.spec.StudySpec`, which scheme
+  wins on P (with an energy tie-break); :func:`render_operating_map`
+  draws it as an ASCII map;
 * :func:`cost_ratio_frontier` — at which ``t_s/t_cp`` ratio the SCP
   variant stops subdividing (analytic, from ``num_SCP``), i.e. when the
   technique degenerates to the DATE'03 baseline;
@@ -17,19 +19,16 @@ module computes three views the paper implies but never plots:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.api.plans import operating_map_cells
 from repro.core.optimizer import num_ccp, num_scp
 from repro.core.renewal import ccp_interval_time_for_m, scp_interval_time_for_m
 from repro.errors import ParameterError
 from repro.experiments.config import TableSpec
 from repro.sim.montecarlo import CellEstimate
-from repro.sim.parallel import BatchRunner, runner_scope
 
 __all__ = [
     "OperatingPoint",
-    "operating_map",
     "assemble_operating_points",
     "render_operating_map",
     "cost_ratio_frontier",
@@ -67,41 +66,6 @@ def _pick_winner(cells: Dict[str, CellEstimate], p_slack: float) -> str:
         return math.inf if math.isnan(e) else e
 
     return min(contenders, key=energy_key)
-
-
-def operating_map(
-    spec: TableSpec,
-    u_grid: Sequence[float],
-    lam_grid: Sequence[float],
-    *,
-    reps: int = 300,
-    seed: int = 0,
-    p_slack: float = 0.02,
-    runner: Optional[BatchRunner] = None,
-    backend=None,
-    fast_static: bool = False,
-) -> List[OperatingPoint]:
-    """Which scheme wins at each (U, λ) point of the grid.
-
-    With a ``runner`` the whole (λ × U × scheme) grid is dispatched in
-    one batch — this is the largest Monte-Carlo sweep in the library.
-    ``fast_static`` computes the static scheme cells in closed form
-    (exact mode's expectation, at a cost that does not grow with
-    ``reps``), which is what makes dense operating maps affordable.
-    """
-    if not u_grid or not lam_grid:
-        raise ParameterError("u_grid and lam_grid must be non-empty")
-    # Cell enumeration is shared with the façade's declarative path
-    # (repro.api.StudySpec kind "operating_map") — same grid order,
-    # same per-cell seeds, bit-identical estimates either way.
-    plans = operating_map_cells(
-        spec, u_grid, lam_grid, reps=reps, seed=seed, fast_static=fast_static
-    )
-    with runner_scope(runner, backend=backend) as scoped:
-        estimates = scoped.run_cells([plan.job for plan in plans])
-    return assemble_operating_points(
-        spec, plans, estimates, p_slack=p_slack
-    )
 
 
 def assemble_operating_points(

@@ -1,14 +1,13 @@
-"""Parameter sweeps and ablations around the paper's design choices.
+"""Ablation pieces around the paper's design choices.
 
-These quantify the mechanisms behind the paper's results;
-``tests/test_sweeps.py`` pins their headline claims:
+The Monte-Carlo ablations are :class:`~repro.api.spec.StudySpec` kinds
+(``fixed_m``, ``rate_factor``, ``utilization``) whose cells
+:mod:`repro.api.plans` builds; ``tests/test_sweeps.py`` pins their
+headline claims.  This module holds what they need beyond the table
+schemes, plus the analytic view:
 
-* :func:`fixed_m_study` — is the *adaptive* choice of ``m`` (procedure
-  ``num_SCP``) actually better than any fixed subdivision?
-* :func:`rate_factor_study` — sensitivity to the analysis rate
-  (paper equations use ``2λ`` for DMR, the simulation injects ``λ``);
-* :func:`utilization_sweep` — P/E versus utilisation for every scheme
-  (the "figure" view of the paper's tables);
+* :class:`FixedSubdivisionSCPPolicy` — ``A_D_S`` with ``m`` pinned, the
+  control a ``fixed_m`` study runs against procedure ``num_SCP``;
 * :func:`optimal_m_curves` — the ``R1(m)`` / ``R2(m)`` analysis curves
   behind paper fig. 2, with the chosen optimum marked.
 """
@@ -16,36 +15,15 @@ These quantify the mechanisms behind the paper's results;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core import renewal
 from repro.core.optimizer import brute_force_num_ccp, brute_force_num_scp
-from repro.core.schemes import (
-    AdaptiveConfig,
-    AdaptiveSCPPolicy,
-)
+from repro.core.schemes import AdaptiveConfig, AdaptiveSCPPolicy
 from repro.errors import ParameterError
-from repro.experiments.config import TableSpec
-from repro.sim.montecarlo import CellEstimate
-from repro.sim.parallel import BatchRunner, runner_scope
-from repro.sim.task import TaskSpec
-
-# The Monte-Carlo studies below are thin shims over the façade's
-# canonical cell expansion in repro.api.plans (shared with the
-# declarative repro.api.StudySpec path, so the two can never drift).
-# plans imports FixedSubdivisionSCPPolicy from here lazily, which is
-# what keeps this module-level import acyclic.
-from repro.api.plans import (
-    fixed_m_cells,
-    rate_factor_cells,
-    utilization_cells,
-)
 
 __all__ = [
     "FixedSubdivisionSCPPolicy",
-    "fixed_m_study",
-    "rate_factor_study",
-    "utilization_sweep",
     "optimal_m_curves",
     "MCurve",
 ]
@@ -68,85 +46,6 @@ class FixedSubdivisionSCPPolicy(AdaptiveSCPPolicy):
 
     def _subdivide(self, state, interval: float) -> int:
         return self.fixed_m
-
-
-def fixed_m_study(
-    task: TaskSpec,
-    ms: Sequence[int],
-    *,
-    reps: int = 1000,
-    seed: int = 0,
-    runner: Optional[BatchRunner] = None,
-    backend=None,
-) -> Dict[str, CellEstimate]:
-    """(P, E) for fixed ``m`` values and for the adaptive ``num_SCP``.
-
-    Keys: ``"m=<k>"`` for each fixed value plus ``"adaptive"``.  With a
-    ``runner`` (or a ``backend`` name — serial/process/distributed) the
-    whole study is dispatched as one cell grid.
-    """
-    if not ms:
-        raise ParameterError("ms must be non-empty")
-    plans = fixed_m_cells(task, ms, reps=reps, seed=seed)
-    with runner_scope(runner, backend=backend) as scoped:
-        estimates = scoped.run_cells([plan.job for plan in plans])
-    return dict(zip((plan.key for plan in plans), estimates))
-
-
-def rate_factor_study(
-    task: TaskSpec,
-    factors: Sequence[float] = (1.0, 2.0),
-    *,
-    reps: int = 1000,
-    seed: int = 0,
-    runner: Optional[BatchRunner] = None,
-    backend=None,
-) -> Dict[float, CellEstimate]:
-    """(P, E) of ``A_D_S`` under different analysis-rate factors."""
-    if not factors:
-        raise ParameterError("factors must be non-empty")
-    plans = rate_factor_cells(task, factors, reps=reps, seed=seed)
-    with runner_scope(runner, backend=backend) as scoped:
-        estimates = scoped.run_cells([plan.job for plan in plans])
-    return dict(zip(factors, estimates))
-
-
-def utilization_sweep(
-    spec: TableSpec,
-    u_grid: Sequence[float],
-    lam: float,
-    *,
-    reps: int = 500,
-    seed: int = 0,
-    runner: Optional[BatchRunner] = None,
-    backend=None,
-    fast_static: bool = False,
-) -> Dict[str, List[Tuple[float, CellEstimate]]]:
-    """P/E curves over utilisation for every scheme of a table spec.
-
-    This is the "figure" rendering of the paper's tabular data: the
-    crossover where static schemes collapse while the adaptive schemes
-    hold P ≈ 1 appears directly.  With a ``runner`` the whole
-    (U × scheme) grid is dispatched in one batch; ``fast_static``
-    swaps the static columns for closed-form
-    :class:`~repro.sim.backends.AnalyticCellJob` cells (exact mode's
-    expectation at a cost independent of ``reps`` — the knob that
-    makes dense U grids cheap).
-    """
-    if not u_grid:
-        raise ParameterError("u_grid must be non-empty")
-    plans = utilization_cells(
-        spec, u_grid, lam, reps=reps, seed=seed, fast_static=fast_static
-    )
-    with runner_scope(runner, backend=backend) as scoped:
-        estimates = scoped.run_cells([plan.job for plan in plans])
-    curves: Dict[str, List[Tuple[float, CellEstimate]]] = {
-        scheme: [] for scheme in spec.schemes
-    }
-    for plan, cell in zip(plans, estimates):
-        axes = dict(plan.axes)
-        curves[axes["scheme"]].append((axes["u"], cell))
-    return curves
 
 
 @dataclass(frozen=True)

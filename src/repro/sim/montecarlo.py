@@ -122,7 +122,6 @@ def estimate(
     faults_during_overhead: bool = False,
     limits: SimulationLimits = SimulationLimits(),
     runner: Optional["BatchRunner"] = None,
-    backend=None,
 ) -> CellEstimate:
     """Monte-Carlo estimate of one experiment cell (see module doc).
 
@@ -131,13 +130,8 @@ def estimate(
     serial one for the same ``seed`` and block size.  Without a runner
     the default serial runner is used, so the no-runner path follows
     the *same* blocked reduction as every parallel topology.
-    ``backend`` instead names where blocks run (``"serial"``,
-    ``"process"``, ``"distributed"`` — see :func:`~repro.sim.backends.
-    make_backend`) or passes a backend instance; a named backend is
-    built for this call and released afterwards.  ``runner`` and
-    ``backend`` are mutually exclusive.
     """
-    from repro.sim.parallel import CellJob, runner_scope
+    from repro.sim.parallel import BatchRunner, CellJob
 
     job = CellJob(
         task=task,
@@ -149,8 +143,7 @@ def estimate(
         faults_during_overhead=faults_during_overhead,
         limits=limits,
     )
-    with runner_scope(runner, backend=backend) as scoped:
-        return scoped.run_cell(job)
+    return (runner or BatchRunner.serial()).run_cell(job)
 
 
 class CellAccumulator:

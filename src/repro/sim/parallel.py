@@ -47,8 +47,7 @@ grid with one slow adaptive column still keeps every worker busy.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ParameterError
 from repro.sim.backends import (
@@ -65,7 +64,6 @@ from repro.sim.montecarlo import CellAccumulator, CellEstimate
 __all__ = [
     "CellJob",
     "BatchRunner",
-    "runner_scope",
     "default_workers",
     "DEFAULT_BLOCK_SIZE",
 ]
@@ -201,45 +199,3 @@ class BatchRunner:
             else:
                 merged[task.job_index] = shard
         return [merged[index].finalize() for index in range(len(jobs))]
-
-
-@contextmanager
-def runner_scope(
-    runner: Optional[BatchRunner] = None,
-    *,
-    backend: Union[ExecutionBackend, str, None] = None,
-) -> Iterator[BatchRunner]:
-    """The runner an API call should use, with ownership sorted out.
-
-    Every dispatcher that accepts both ``runner=`` (caller-owned, we
-    must not close it) and ``backend=`` (a name — we build the runner
-    and must release it) funnels through here:
-
-    * an explicit ``runner`` is yielded untouched (passing ``backend``
-      too is a contradiction and raises);
-    * no runner, no backend — the implicit serial runner (stateless,
-      nothing to release);
-    * a ``backend`` *name* builds a runner for the call and closes it
-      afterwards (``backend="process"`` means one worker per CPU); a
-      backend *instance* builds a runner but leaves closing the backend
-      to whoever constructed it.
-
-    Execution knobs (workers, block size, cluster) live in one
-    validated :class:`~repro.experiments.config.ExecutionSettings`,
-    held by a :class:`~repro.api.Session` or passed here as its
-    ``make_runner()`` result.
-    """
-    if runner is not None:
-        if backend is not None:
-            raise ParameterError("pass either runner= or backend=, not both")
-        yield runner
-        return
-    if backend is None:
-        yield BatchRunner.serial()
-        return
-    scoped = BatchRunner(backend=backend)
-    try:
-        yield scoped
-    finally:
-        if isinstance(backend, str):
-            scoped.close()

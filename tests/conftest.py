@@ -44,6 +44,21 @@ def numpy_blocked_env(tmp_path_factory) -> Dict[str, str]:
     return repro_env(str(blocker))
 
 
+def table_result(table_id: str, *, reps: int, seed: int):
+    """Table ``table_id`` run as a table-kind study (serial), paired
+    with the paper's cells as the CLI pairs it."""
+    from repro.api import Study, StudySpec
+    from repro.experiments.tables import assemble_table_result
+
+    study = Study(StudySpec(kind="table", table=table_id, reps=reps, seed=seed))
+    return assemble_table_result(
+        study.spec.resolve_table(),
+        reps=reps,
+        seed=seed,
+        estimates=[record.estimate for record in study.run()],
+    )
+
+
 class FixedPlanPolicy(CheckpointPolicy):
     """Test scaffold: a policy with a pinned plan and frequency.
 

@@ -1,150 +1,19 @@
-"""The declarative façade: Session/StudySpec/Study vs the direct calls.
+"""The declarative façade: Session, StudySpec and Study.
 
-The acceptance bar for ``repro.api``: every legacy experiment
-entrypoint is expressible as a :class:`~repro.api.StudySpec`, the
-façade's estimates are *bit-identical* to the direct call's
-(``CellEstimate.same_values``), and resume-from-partial reuses records
-verbatim while recomputing only what is missing.
+Resume-from-partial reuses records verbatim while recomputing only
+what is missing; a session owns and releases its runner; specs
+validate and hash canonically.  Every grid kind's exact estimates are
+pinned as bytes in ``tests/test_exact_estimates.py``.
 """
-
-import warnings
 
 import pytest
 
 from repro.api import ResultSet, Session, Study, StudySpec
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExecutionSettings, table_spec
-from repro.experiments.sensitivity import operating_map
-from repro.experiments.sweeps import (
-    fixed_m_study,
-    rate_factor_study,
-    utilization_sweep,
-)
-from repro.experiments.tables import run_row, run_table
 from repro.sim.montecarlo import estimate
-from repro.sim.parallel import BatchRunner, runner_scope
-from repro.sim.rng import RandomSource
 
 REPS = 12
-
-
-def _axes(plan):
-    return dict(plan.axes)
-
-
-class TestTableConformance:
-    def test_table_study_matches_run_table(self):
-        direct = run_table("1b", reps=REPS, seed=11, fast_static=True)
-        study = Study(
-            StudySpec(
-                kind="table", table="1b", reps=REPS, seed=11, fast_static=True
-            )
-        )
-        results = study.run()
-        for plan in study.cells():
-            axes = _axes(plan)
-            expected = direct.row(axes["u"], axes["lam"]).cell(axes["scheme"])
-            assert results.estimate(plan.key).same_values(expected.measured)
-
-    def test_row_study_matches_run_row(self):
-        spec = table_spec("1a")
-        u, lam = spec.rows[0]
-        direct = run_row(
-            spec, u, lam, reps=REPS, source=RandomSource(5), fast_static=True
-        )
-        study = Study(
-            StudySpec(
-                kind="row", table="1a", u=u, lam=lam, reps=REPS, seed=5,
-                fast_static=True,
-            )
-        )
-        results = study.run()
-        for plan in study.cells():
-            scheme = _axes(plan)["scheme"]
-            assert results.estimate(plan.key).same_values(
-                direct.cell(scheme).measured
-            )
-
-    def test_custom_table_spec_flows_through_study(self):
-        from dataclasses import replace
-
-        custom = replace(table_spec("1a"), rows=table_spec("1a").rows[:1])
-        direct = run_table(custom, reps=REPS, seed=3, fast_static=True)
-        study = Study(
-            StudySpec(
-                kind="table", table=custom.table_id, reps=REPS, seed=3,
-                fast_static=True,
-            ),
-            table=custom,
-        )
-        results = study.run()
-        assert len(results) == len(custom.schemes)
-        for plan in study.cells():
-            axes = _axes(plan)
-            expected = direct.row(axes["u"], axes["lam"]).cell(axes["scheme"])
-            assert results.estimate(plan.key).same_values(expected.measured)
-        # No declarative form: the spec payload is absent, the hash is
-        # salted so resume against a different table is rejected.
-        assert results.spec is None
-        assert "+" in results.spec_hash
-
-
-class TestStudyConformance:
-    def test_fixed_m_matches_direct(self):
-        spec = table_spec("1a")
-        task = spec.task(*spec.rows[0])
-        direct = fixed_m_study(task, ms=[1, 2], reps=REPS, seed=9)
-        results = Study(
-            StudySpec(kind="fixed_m", table="1a", ms=(1, 2), reps=REPS, seed=9)
-        ).run()
-        for key, expected in (("m=1", direct["m=1"]),
-                              ("m=2", direct["m=2"]),
-                              ("adaptive", direct["adaptive"])):
-            assert results.estimate(key).same_values(expected)
-
-    def test_rate_factor_matches_direct(self):
-        spec = table_spec("1a")
-        task = spec.task(*spec.rows[0])
-        direct = rate_factor_study(task, factors=(1.0, 2.0), reps=REPS, seed=2)
-        results = Study(
-            StudySpec(kind="rate_factor", table="1a", factors=(1.0, 2.0),
-                      reps=REPS, seed=2)
-        ).run()
-        for factor, expected in direct.items():
-            assert results.estimate(f"factor={factor!r}").same_values(expected)
-
-    def test_utilization_matches_direct(self):
-        spec = table_spec("1a")
-        u_grid = (0.6, 0.8)
-        direct = utilization_sweep(
-            spec, u_grid, 1.4e-3, reps=REPS, seed=4, fast_static=True
-        )
-        study = Study(
-            StudySpec(kind="utilization", table="1a", u_grid=u_grid,
-                      lam=1.4e-3, reps=REPS, seed=4, fast_static=True)
-        )
-        results = study.run()
-        for plan in study.cells():
-            axes = _axes(plan)
-            expected = dict(direct[axes["scheme"]])[axes["u"]]
-            assert results.estimate(plan.key).same_values(expected)
-
-    def test_operating_map_matches_direct(self):
-        spec = table_spec("1a")
-        u_grid, lam_grid = (0.6, 0.8), (1e-4, 1.4e-3)
-        direct = operating_map(
-            spec, u_grid, lam_grid, reps=REPS, seed=6, fast_static=True
-        )
-        study = Study(
-            StudySpec(kind="operating_map", table="1a", u_grid=u_grid,
-                      lam_grid=lam_grid, reps=REPS, seed=6, fast_static=True)
-        )
-        results = study.run()
-        lookup = {(p.u, p.lam): p for p in direct}
-        for plan in study.cells():
-            axes = _axes(plan)
-            expected = lookup[(axes["u"], axes["lam"])].cell(axes["scheme"])
-            assert results.estimate(plan.key).same_values(expected)
 
 
 class TestResume:
@@ -191,16 +60,7 @@ class TestSession:
         with pytest.raises(ConfigurationError):
             session.run_cells([])
 
-    def test_borrowed_runner_left_open(self):
-        runner = BatchRunner.serial(chunk_size=8)
-        session = Session(runner=runner)
-        session.close()
-        # Still usable: the session never owned it.
-        assert runner.run_cells([]) == []
-
-    def test_runner_and_settings_are_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            Session(ExecutionSettings(), runner=BatchRunner.serial())
+    def test_settings_and_shorthand_are_exclusive(self):
         with pytest.raises(ConfigurationError):
             Session(ExecutionSettings(), backend="process")
 
@@ -332,16 +192,8 @@ class TestStudySpecValidation:
 
 
 class TestDeprecatedScatteredKwargs:
-    """The scattered per-call execution kwargs are gone; the runner and
-    backend paths stay silent."""
-
-    def test_runner_and_backend_paths_stay_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with runner_scope(BatchRunner.serial()) as scoped:
-                assert scoped.run_cells([]) == []
-            with runner_scope(None, backend="serial") as scoped:
-                assert scoped.run_cells([]) == []
+    """The scattered per-call execution kwargs are gone; one
+    ExecutionSettings replaces them."""
 
     def test_execution_settings_is_the_replacement(self):
         settings = ExecutionSettings(chunk_size=64)

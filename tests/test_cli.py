@@ -4,8 +4,22 @@ import json
 
 import pytest
 
-from repro.cli import _make_runner, build_parser, main
-from repro.sim.parallel import BatchRunner, default_workers
+from repro.cli import build_parser, main
+from repro.experiments.config import ExecutionSettings
+from repro.experiments.paper_data import TABLE_IDS
+from repro.sim.parallel import DEFAULT_BLOCK_SIZE, BatchRunner, default_workers
+
+
+def _runner(args):
+    """The runner a command's execution flags describe."""
+    return ExecutionSettings.from_cli_args(args).make_runner()
+
+
+def _is_default_serial(runner):
+    return (
+        runner.backend.name == "serial"
+        and runner.block_size == DEFAULT_BLOCK_SIZE
+    )
 
 
 class TestParser:
@@ -74,26 +88,58 @@ class TestCommands:
         assert u1_rows[0]["cells"]["Poisson"]["e"] is None
 
 
+class TestValidate:
+    ARGS = ["validate", "--reps", "16", "--seed", "7"]
+
+    def test_same_output_serial_and_pooled(self, capsys):
+        status = main(self.ARGS)
+        serial_out = capsys.readouterr().out
+        assert main(self.ARGS + ["--workers", "2"]) == status
+        assert capsys.readouterr().out == serial_out
+        lines = [
+            line for line in serial_out.splitlines() if line.startswith("table ")
+        ]
+        assert [line.split(":")[0] for line in lines] == [
+            f"table {table_id}" for table_id in TABLE_IDS
+        ]
+        assert sum(int(line.split()[2]) for line in lines) == 136
+
+    def test_kernel_fast_runs_fast_kernel_blocks(self, capsys, monkeypatch):
+        from repro.sim import kernel
+
+        blocks = []
+        fast = kernel.accumulate_range_fast
+
+        def counted(*args, **kwargs):
+            blocks.append(args)
+            return fast(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "accumulate_range_fast", counted)
+        main(self.ARGS + ["--kernel", "fast"])
+        assert "table 4b:" in capsys.readouterr().out
+        assert blocks
+
+
 class TestWorkersFlag:
     def test_defaults_to_serial(self):
         args = build_parser().parse_args(["table", "1a"])
         assert args.workers is None  # unspecified, distinct from --workers 1
-        assert _make_runner(args) is None
+        assert _is_default_serial(_runner(args))
 
     def test_explicit_workers_one_is_serial_too(self):
         args = build_parser().parse_args(["table", "1a", "--workers", "1"])
-        assert _make_runner(args) is None
+        assert _is_default_serial(_runner(args))
 
     def test_parses_worker_count(self):
         args = build_parser().parse_args(["table", "1a", "--workers", "4"])
         assert args.workers == 4
-        runner = _make_runner(args)
+        runner = _runner(args)
         assert isinstance(runner, BatchRunner)
         assert runner.workers == 4
 
     def test_zero_means_cpu_count(self):
         args = build_parser().parse_args(["validate", "--workers", "0"])
-        assert _make_runner(args).workers == default_workers()
+        assert _runner(args).workers == default_workers()
 
     def test_accepted_on_validate_and_sweep(self):
         assert build_parser().parse_args(
@@ -135,7 +181,7 @@ class TestChunkSizeFlag:
             ["table", "1a", "--chunk-size", "128"]
         )
         assert args.chunk_size == 128
-        runner = _make_runner(args)
+        runner = _runner(args)
         assert isinstance(runner, BatchRunner)
         assert runner.block_size == 128
         assert runner.workers == 1  # block size alone keeps serial
@@ -144,7 +190,7 @@ class TestChunkSizeFlag:
         args = build_parser().parse_args(
             ["validate", "--workers", "3", "--chunk-size", "50"]
         )
-        runner = _make_runner(args)
+        runner = _runner(args)
         assert runner.workers == 3
         assert runner.block_size == 50
 
@@ -385,18 +431,18 @@ class TestBackendFlag:
         args = build_parser().parse_args(
             ["table", "1a", "--backend", "process", "--workers", "3"]
         )
-        runner = _make_runner(args)
+        runner = _runner(args)
         assert runner.workers == 3
         assert runner.backend.name == "process"
         runner.close()
 
     def test_explicit_serial_backend_is_implicit_default(self):
         args = build_parser().parse_args(["table", "1a", "--backend", "serial"])
-        assert _make_runner(args) is None
+        assert _is_default_serial(_runner(args))
 
     def test_explicit_process_backend_without_workers_uses_all_cpus(self):
         args = build_parser().parse_args(["table", "1a", "--backend", "process"])
-        runner = _make_runner(args)
+        runner = _runner(args)
         try:
             assert runner.backend.name == "process"
             assert runner.workers == default_workers()
@@ -407,7 +453,7 @@ class TestBackendFlag:
         args = build_parser().parse_args(
             ["table", "1a", "--backend", "process", "--workers", "1"]
         )
-        runner = _make_runner(args)
+        runner = _runner(args)
         try:
             assert runner.backend.name == "process"
             assert runner.workers == 1
@@ -418,7 +464,7 @@ class TestBackendFlag:
         args = build_parser().parse_args(
             ["table", "1a", "--backend", "distributed", "--cluster-workers", "2"]
         )
-        runner = _make_runner(args)
+        runner = _runner(args)
         try:
             assert runner.backend.name == "distributed"
             assert runner.backend.cluster.size == 2

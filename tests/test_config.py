@@ -121,9 +121,13 @@ class TestExecutionSettings:
         return ExecutionSettings(**kwargs)
 
     def test_default_is_implicit_serial(self):
+        from repro.sim.parallel import DEFAULT_BLOCK_SIZE
+
         settings = self._settings()
         assert settings.resolved_backend == "serial"
-        assert settings.make_runner() is None
+        runner = settings.make_runner()
+        assert runner.backend.name == "serial"
+        assert runner.block_size == DEFAULT_BLOCK_SIZE
 
     def test_workers_imply_process(self):
         settings = self._settings(workers=4)
@@ -135,7 +139,7 @@ class TestExecutionSettings:
     def test_workers_one_stays_serial_when_inferred(self):
         settings = self._settings(workers=1)
         assert settings.resolved_backend == "serial"
-        assert settings.make_runner() is None
+        assert settings.make_runner().backend.name == "serial"
 
     def test_explicit_process_honours_workers_verbatim(self):
         from repro.sim.parallel import default_workers

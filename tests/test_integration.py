@@ -9,9 +9,9 @@ import math
 
 import pytest
 
-from repro.experiments.config import all_table_specs, table_spec
+from repro.experiments.config import all_table_specs
 from repro.experiments.report import shape_checks
-from repro.experiments.tables import run_table
+from tests.conftest import table_result
 
 REPS = 250
 SEED = 2006
@@ -20,7 +20,7 @@ SEED = 2006
 @pytest.fixture(scope="module")
 def all_results():
     return {
-        spec.table_id: run_table(spec, reps=REPS, seed=SEED)
+        spec.table_id: table_result(spec.table_id, reps=REPS, seed=SEED)
         for spec in all_table_specs()
     }
 

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.experiments.report import format_table, markdown_table, shape_checks
-from repro.experiments.tables import run_table
+from tests.conftest import table_result
 
 
 @pytest.fixture(scope="module")
 def table_1a():
     # Enough reps that the headline orderings are stable.
-    return run_table("1a", reps=250, seed=12)
+    return table_result("1a", reps=250, seed=12)
 
 
 @pytest.fixture(scope="module")
 def table_2b():
-    return run_table("2b", reps=250, seed=12)
+    return table_result("2b", reps=250, seed=12)
 
 
 class TestFormatTable:
@@ -45,7 +45,7 @@ class TestMarkdownTable:
         assert len(data_lines) == 32
 
     def test_nan_rendered(self):
-        result = run_table("1b", reps=40, seed=3)
+        result = table_result("1b", reps=40, seed=3)
         md = markdown_table(result)
         assert "NaN" in md  # U=1.0 static cells
 

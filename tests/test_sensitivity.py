@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ParameterError
+from repro.api import Study, StudySpec
+from repro.errors import ConfigurationError, ParameterError
 from repro.experiments.config import table_spec
 from repro.experiments.sensitivity import (
+    assemble_operating_points,
     cost_ratio_frontier,
-    operating_map,
     render_operating_map,
     subdivision_benefit,
 )
@@ -15,13 +16,20 @@ from repro.experiments.sensitivity import (
 class TestOperatingMap:
     @pytest.fixture(scope="class")
     def points(self):
-        spec = table_spec("1a")
-        return operating_map(
-            spec,
-            u_grid=[0.55, 0.80],
-            lam_grid=[1e-4, 1.4e-3],
-            reps=150,
-            seed=5,
+        study = Study(
+            StudySpec(
+                kind="operating_map",
+                table="1a",
+                u_grid=(0.55, 0.80),
+                lam_grid=(1e-4, 1.4e-3),
+                reps=150,
+                seed=5,
+            )
+        )
+        return assemble_operating_points(
+            table_spec("1a"),
+            study.cells(),
+            [record.estimate for record in study.run()],
         )
 
     def test_grid_coverage(self, points):
@@ -52,11 +60,11 @@ class TestOperatingMap:
         assert text.count("e-0") >= 2
 
     def test_validation(self):
-        spec = table_spec("1a")
+        with pytest.raises(ConfigurationError):
+            StudySpec(kind="operating_map", table="1a", u_grid=(),
+                      lam_grid=(1e-4,), reps=10)
         with pytest.raises(ParameterError):
-            operating_map(spec, [], [1e-4], reps=10)
-        with pytest.raises(ParameterError):
-            render_operating_map([], spec.schemes)
+            render_operating_map([], table_spec("1a").schemes)
 
 
 class TestCostRatioFrontier:

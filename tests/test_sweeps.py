@@ -1,18 +1,36 @@
-"""Tests for the ablation sweeps."""
+"""Tests for the ablation sweeps.
+
+The Monte-Carlo ablations run as table-1a studies; ``fixed_m`` and
+``rate_factor`` default to the table's first row, the ``task`` below.
+"""
 
 import pytest
 
+from repro.api import Study, StudySpec
 from repro.errors import ParameterError
-from repro.experiments.config import table_spec
-from repro.experiments.sweeps import (
-    FixedSubdivisionSCPPolicy,
-    fixed_m_study,
-    optimal_m_curves,
-    rate_factor_study,
-    utilization_sweep,
-)
+from repro.experiments.sweeps import FixedSubdivisionSCPPolicy, optimal_m_curves
 from repro.sim.task import TaskSpec
 from repro.core.checkpoints import CostModel
+
+
+def _estimates(kind, **fields):
+    """A table-1a study of ``kind``: cell key → estimate."""
+    results = Study(StudySpec(kind=kind, table="1a", **fields)).run()
+    return {record.key: record.estimate for record in results}
+
+
+def _curves(u_grid, *, reps, seed):
+    """A utilisation study at λ = 1.4e-3: scheme → [(u, estimate)]."""
+    results = Study(
+        StudySpec(kind="utilization", table="1a", u_grid=u_grid,
+                  lam=1.4e-3, reps=reps, seed=seed)
+    ).run()
+    curves = {}
+    for record in results:
+        curves.setdefault(record.axes["scheme"], []).append(
+            (record.axes["u"], record.estimate)
+        )
+    return curves
 
 
 @pytest.fixture
@@ -41,21 +59,23 @@ class TestFixedSubdivisionPolicy:
 
 
 class TestFixedMStudy:
-    def test_keys_and_adaptive_included(self, task):
-        results = fixed_m_study(task, ms=[1, 4], reps=60, seed=1)
+    def test_keys_and_adaptive_included(self):
+        results = _estimates("fixed_m", ms=(1, 4), reps=60, seed=1)
         assert set(results) == {"m=1", "m=4", "adaptive"}
 
-    def test_adaptive_competitive_with_best_fixed(self, task):
-        results = fixed_m_study(task, ms=[1, 2, 4, 8], reps=200, seed=2)
+    def test_adaptive_competitive_with_best_fixed(self):
+        results = _estimates("fixed_m", ms=(1, 2, 4, 8), reps=200, seed=2)
         best_fixed_p = max(
             cell.p for name, cell in results.items() if name != "adaptive"
         )
         assert results["adaptive"].p >= best_fixed_p - 0.05
 
-    def test_adaptive_energy_matches_best_fixed_m(self, task):
+    def test_adaptive_energy_matches_best_fixed_m(self):
         # Procedure num_SCP is worth it: within noise of the cheapest
         # viable fixed m, and clearly cheaper than no subdivision.
-        results = fixed_m_study(task, ms=[1, 2, 4, 8, 16], reps=400, seed=41)
+        results = _estimates(
+            "fixed_m", ms=(1, 2, 4, 8, 16), reps=400, seed=41
+        )
         adaptive = results["adaptive"]
         best_fixed = min(
             (cell for name, cell in results.items() if name != "adaptive"),
@@ -64,41 +84,36 @@ class TestFixedMStudy:
         assert adaptive.e <= best_fixed.e * 1.03
         assert adaptive.e < results["m=1"].e
 
-    def test_empty_ms_rejected(self, task):
-        with pytest.raises(ParameterError):
-            fixed_m_study(task, ms=[], reps=10, seed=0)
-
 
 class TestRateFactorStudy:
-    def test_returns_requested_factors(self, task):
-        results = rate_factor_study(task, factors=(1.0, 2.0), reps=60, seed=3)
-        assert set(results) == {1.0, 2.0}
+    def test_returns_requested_factors(self):
+        results = _estimates(
+            "rate_factor", factors=(1.0, 2.0), reps=60, seed=3
+        )
+        assert set(results) == {"factor=1.0", "factor=2.0"}
         for cell in results.values():
             assert cell.p > 0.9  # both factors keep the scheme viable
 
-    def test_convention_does_not_change_the_story(self, task):
+    def test_convention_does_not_change_the_story(self):
         # λ (simulation-consistent) vs 2λ (paper equations): both keep
         # the scheme at P≈1, with energies within 2%.
-        results = rate_factor_study(task, factors=(1.0, 2.0), reps=400, seed=43)
-        assert results[1.0].p > 0.98 and results[2.0].p > 0.98
-        assert abs(results[1.0].e - results[2.0].e) < 0.02 * results[1.0].e
+        results = _estimates(
+            "rate_factor", factors=(1.0, 2.0), reps=400, seed=43
+        )
+        lam, twice = results["factor=1.0"], results["factor=2.0"]
+        assert lam.p > 0.98 and twice.p > 0.98
+        assert abs(lam.e - twice.e) < 0.02 * lam.e
 
 
 class TestUtilizationSweep:
     def test_curve_shapes(self):
-        spec = table_spec("1a")
-        curves = utilization_sweep(
-            spec, u_grid=[0.7, 0.8], lam=1.4e-3, reps=80, seed=4
-        )
-        assert set(curves) == set(spec.schemes)
+        curves = _curves((0.7, 0.8), reps=80, seed=4)
+        assert set(curves) == {"Poisson", "k-f-t", "A_D", "A_D_S"}
         for points in curves.values():
             assert [u for u, _ in points] == [0.7, 0.8]
 
     def test_static_p_collapses_with_utilization(self):
-        spec = table_spec("1a")
-        curves = utilization_sweep(
-            spec, u_grid=[0.60, 0.82], lam=1.4e-3, reps=150, seed=5
-        )
+        curves = _curves((0.60, 0.82), reps=150, seed=5)
         poisson = curves["Poisson"]
         assert poisson[0][1].p > poisson[1][1].p
         adaptive = curves["A_D_S"]

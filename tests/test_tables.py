@@ -1,18 +1,18 @@
-"""Unit tests for the table runners (reduced reps)."""
+"""Unit tests for table and row studies (reduced reps)."""
 
 import math
 
 import pytest
 
+from repro.api import Study, StudySpec
 from repro.errors import ConfigurationError
 from repro.experiments.config import table_spec
-from repro.experiments.tables import run_row, run_table
-from repro.sim.rng import RandomSource
+from tests.conftest import table_result
 
 
 @pytest.fixture(scope="module")
 def small_table():
-    return run_table("1a", reps=60, seed=99)
+    return table_result("1a", reps=60, seed=99)
 
 
 class TestRunTable:
@@ -28,18 +28,17 @@ class TestRunTable:
         assert cell.paper.p == 0.1185
 
     def test_reproducible(self):
-        a = run_table("1b", reps=30, seed=7)
-        b = run_table("1b", reps=30, seed=7)
+        a = table_result("1b", reps=30, seed=7)
+        b = table_result("1b", reps=30, seed=7)
         for row_a, row_b in zip(a.rows, b.rows):
             for scheme in a.schemes:
                 assert row_a.cell(scheme).p == row_b.cell(scheme).p
                 ea, eb = row_a.cell(scheme).e, row_b.cell(scheme).e
                 assert (math.isnan(ea) and math.isnan(eb)) or ea == eb
 
-    def test_accepts_spec_object(self):
-        spec = table_spec("2b")
-        result = run_table(spec, reps=20, seed=1)
-        assert result.spec is spec
+    def test_result_carries_the_registry_spec(self):
+        result = table_result("2b", reps=20, seed=1)
+        assert result.spec is table_spec("2b")
 
     def test_row_lookup(self, small_table):
         row = small_table.row(0.76, 1.4e-3)
@@ -59,20 +58,26 @@ class TestRunTable:
             small_table.rows[0].cell("bogus")
 
 
+def _row(table, u, lam):
+    """A 30-rep row study at seed 5: scheme → estimate."""
+    results = Study(
+        StudySpec(kind="row", table=table, u=u, lam=lam, reps=30, seed=5)
+    ).run()
+    return {record.axes["scheme"]: record.estimate for record in results}
+
+
 class TestRunRow:
     def test_single_row(self):
-        spec = table_spec("3b")
-        row = run_row(spec, 0.92, 1e-4, reps=30, source=RandomSource(5))
-        assert set(row.cells) == {"Poisson", "k-f-t", "A_D", "A_D_C"}
+        row = _row("3b", 0.92, 1e-4)
+        assert set(row) == {"Poisson", "k-f-t", "A_D", "A_D_C"}
 
     def test_different_cells_get_independent_streams(self):
-        spec = table_spec("1a")
-        row = run_row(spec, 0.76, 1.4e-3, reps=30, source=RandomSource(5))
+        row = _row("1a", 0.76, 1.4e-3)
         # Poisson and k-f-t see different fault realisations (they have
         # nearly identical intervals, so identical streams would give
         # identical P with high probability across many reps).
-        p_a = row.cell("Poisson").measured
-        p_b = row.cell("k-f-t").measured
+        p_a = row["Poisson"]
+        p_b = row["k-f-t"]
         assert (
             p_a.mean_finish_time_timely != p_b.mean_finish_time_timely
             or p_a.p != p_b.p
