@@ -76,8 +76,11 @@ class SpeedLadder:
     """An ordered set of processor speeds with their supply voltages.
 
     ``frequencies`` must be strictly increasing and start at the
-    normalised minimum speed.  ``voltages`` maps 1:1 onto frequencies;
-    see :mod:`repro.sim.energy` for how they enter the energy account.
+    normalised minimum speed.  ``voltages`` maps 1:1 onto frequencies.
+    The voltages reach the energy a run is charged only through
+    :meth:`repro.sim.energy.EnergyModel.from_ladder` passed as the
+    run's energy model; otherwise the run charges the paper's
+    ``V(f) = sqrt(2f)`` whatever the ladder records.
     """
 
     frequencies: Tuple[float, ...]
@@ -106,6 +109,8 @@ class SpeedLadder:
         The default ``V(f) = sqrt(2)·f**0.5`` reproduces the paper's
         published energy magnitudes (:mod:`repro.sim.energy`);
         ``voltage_exponent=1.0`` gives the textbook linear ``V ∝ f``.
+        A run charges these voltages only with
+        ``energy_model=EnergyModel.from_ladder(ladder)``.
         """
         freqs = tuple(float(f) for f in frequencies)
         volts = tuple(math.sqrt(2.0) * f**voltage_exponent for f in freqs)

@@ -182,6 +182,10 @@ class AdaptiveConfig:
     ----------
     ladder:
         Available processor speeds (paper: ``f1 = 1``, ``f2 = 2``).
+        The scheme reads only its frequencies; its voltages reach the
+        energy charged only through
+        :meth:`~repro.sim.energy.EnergyModel.from_ladder` passed as the
+        run's energy model.
     analysis_rate_factor:
         Multiplier applied to the task fault rate inside the *renewal
         models* that choose ``m``.  The paper's equations carry the DMR

@@ -1,5 +1,7 @@
 """Unit tests for the energy model."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.checkpoints import CostModel
@@ -9,6 +11,7 @@ from repro.errors import ParameterError
 from repro.sim.energy import EnergyModel
 from repro.sim.executor import simulate_run
 from repro.sim.faults import ScriptedFaults
+from repro.sim.montecarlo import estimate
 from repro.sim.task import TaskSpec
 
 
@@ -118,3 +121,39 @@ class TestRunEnergy:
         assert result.cycles_by_frequency == {1.0: result.cycles_executed}
         # 2 processors · V² = 2 per cycle.
         assert result.energy == pytest.approx(4 * result.cycles_executed)
+
+
+class TestLadderVoltages:
+    """A ladder's voltages reach the energy charged only through
+    ``EnergyModel.from_ladder``."""
+
+    FREQUENCIES = tuple(1.0 + i / 3 for i in range(4))
+
+    @staticmethod
+    def timely_energy(ladder, energy_model=None):
+        task = TaskSpec(
+            cycles=9_200.0,
+            deadline=10_000.0,
+            fault_budget=1,
+            fault_rate=1e-4,
+            costs=CostModel.scp_favourable(),
+        )
+        return estimate(
+            task,
+            partial(AdaptiveSCPPolicy, AdaptiveConfig(ladder=ladder)),
+            reps=60,
+            seed=1,
+            energy_model=energy_model,
+        ).e
+
+    def test_ladder_voltages_charged_only_through_from_ladder(self):
+        sqrt_f = SpeedLadder.from_frequencies(self.FREQUENCIES)
+        linear = SpeedLadder.from_frequencies(
+            self.FREQUENCIES, voltage_exponent=1.0
+        )
+        # Without an energy model both ladders charge V = sqrt(2f).
+        default = self.timely_energy(sqrt_f)
+        assert self.timely_energy(linear) == default
+        assert default == pytest.approx(50_184, abs=1)
+        charged = self.timely_energy(linear, EnergyModel.from_ladder(linear))
+        assert charged == pytest.approx(64_139, abs=1)
