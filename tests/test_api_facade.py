@@ -1,19 +1,157 @@
 """The declarative façade: Session, StudySpec and Study.
 
-Resume-from-partial reuses records verbatim while recomputing only
-what is missing; a session owns and releases its runner; specs
-validate and hash canonically.  Every grid kind's exact estimates are
-pinned as bytes in ``tests/test_exact_estimates.py``.
+Every grid kind's study is bit-identical (``CellEstimate.same_values``)
+to direct per-cell :func:`~repro.sim.montecarlo.estimate` calls on the
+seeds ``repro.api.plans`` documents; resume-from-partial reuses
+records verbatim while recomputing only what is missing; a session
+owns and releases its runner; specs validate and hash canonically.
+Every grid kind's exact estimates are pinned as bytes in
+``tests/test_exact_estimates.py``.
 """
+
+from functools import partial
 
 import pytest
 
 from repro.api import ResultSet, Session, Study, StudySpec
+from repro.api.plans import cell_label
+from repro.core.schemes import AdaptiveConfig, AdaptiveSCPPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExecutionSettings, table_spec
+from repro.experiments.sweeps import FixedSubdivisionSCPPolicy
 from repro.sim.montecarlo import estimate
+from repro.sim.rng import RandomSource
 
 REPS = 12
+
+
+def _direct(table, u, lam, scheme, *, seed):
+    """One (U, λ, scheme) cell of ``table`` as a direct ``estimate``."""
+    spec = table_spec(table)
+    return estimate(
+        spec.task(u, lam), spec.policy_factory(scheme), reps=REPS, seed=seed
+    )
+
+
+def _forked_seed(table, u, lam, scheme, seed):
+    """A table or row cell's seed: the root source forked by its label."""
+    column = table_spec(table).schemes.index(scheme)
+    return RandomSource(seed).fork(cell_label(table, u, lam, column)).seed
+
+
+class TestTableConformance:
+    def test_table_study_matches_direct(self):
+        spec = table_spec("1b")
+        results = Study(
+            StudySpec(kind="table", table="1b", reps=REPS, seed=11)
+        ).run()
+        assert len(results) == len(spec.rows) * len(spec.schemes)
+        for record in results:
+            u, lam, scheme = (record.axes[a] for a in ("u", "lam", "scheme"))
+            expected = _direct(
+                "1b", u, lam, scheme,
+                seed=_forked_seed("1b", u, lam, scheme, 11),
+            )
+            assert record.estimate.same_values(expected)
+
+    def test_row_study_matches_direct(self):
+        spec = table_spec("1a")
+        u, lam = spec.rows[0]
+        results = Study(
+            StudySpec(kind="row", table="1a", u=u, lam=lam, reps=REPS, seed=5)
+        ).run()
+        assert [record.axes["scheme"] for record in results] == list(
+            spec.schemes
+        )
+        for record in results:
+            scheme = record.axes["scheme"]
+            expected = _direct(
+                "1a", u, lam, scheme,
+                seed=_forked_seed("1a", u, lam, scheme, 5),
+            )
+            assert record.estimate.same_values(expected)
+
+
+class TestStudyConformance:
+    """Fixed-m, rate-factor and frontier cells share the study seed
+    verbatim; the grid kinds add ``int(u * 1000)`` or
+    ``int(u * 997) + int(lam * 1e7)``."""
+
+    def test_fixed_m_matches_direct(self):
+        spec = table_spec("1a")
+        task = spec.task(*spec.rows[0])
+        results = Study(
+            StudySpec(kind="fixed_m", table="1a", ms=(1, 2), reps=REPS, seed=9)
+        ).run()
+        factories = {
+            "m=1": partial(FixedSubdivisionSCPPolicy, 1),
+            "m=2": partial(FixedSubdivisionSCPPolicy, 2),
+            "adaptive": AdaptiveSCPPolicy,
+        }
+        assert results.keys() == list(factories)
+        for key, factory in factories.items():
+            expected = estimate(task, factory, reps=REPS, seed=9)
+            assert results.estimate(key).same_values(expected)
+
+    def test_rate_factor_matches_direct(self):
+        spec = table_spec("1a")
+        task = spec.task(*spec.rows[0])
+        results = Study(
+            StudySpec(kind="rate_factor", table="1a", factors=(1.0, 2.0),
+                      reps=REPS, seed=2)
+        ).run()
+        assert results.keys() == ["factor=1.0", "factor=2.0"]
+        for factor in (1.0, 2.0):
+            factory = partial(
+                AdaptiveSCPPolicy, AdaptiveConfig(analysis_rate_factor=factor)
+            )
+            expected = estimate(task, factory, reps=REPS, seed=2)
+            assert results.estimate(f"factor={factor!r}").same_values(expected)
+
+    def test_frontier_matches_direct(self):
+        from repro.workloads.frontier import EquidistantPolicy
+
+        task = table_spec("1a").task(0.5, 2e-4)
+        results = Study(
+            StudySpec(kind="frontier", table="1a", u=0.5, lam=2e-4,
+                      freqs=(1.0, 2.0), ms=(1, 2), reps=REPS, seed=8)
+        ).run()
+        assert len(results) == 4
+        for record in results:
+            f, m = record.axes["f"], record.axes["m"]
+            expected = estimate(
+                task, partial(EquidistantPolicy, f, m), reps=REPS, seed=8
+            )
+            assert record.estimate.same_values(expected)
+
+    def test_utilization_matches_direct(self):
+        spec = table_spec("1a")
+        results = Study(
+            StudySpec(kind="utilization", table="1a", u_grid=(0.6, 0.8),
+                      lam=1.4e-3, reps=REPS, seed=4)
+        ).run()
+        assert len(results) == 2 * len(spec.schemes)
+        for record in results:
+            u, scheme = record.axes["u"], record.axes["scheme"]
+            expected = _direct(
+                "1a", u, 1.4e-3, scheme, seed=4 + int(u * 1000)
+            )
+            assert record.estimate.same_values(expected)
+
+    def test_operating_map_matches_direct(self):
+        spec = table_spec("1a")
+        results = Study(
+            StudySpec(kind="operating_map", table="1a", u_grid=(0.6, 0.8),
+                      lam_grid=(1e-4, 1.4e-3), reps=REPS, seed=6)
+        ).run()
+        assert len(results) == 4 * len(spec.schemes)
+        for record in results:
+            u, lam, scheme = (record.axes[a] for a in ("u", "lam", "scheme"))
+            expected = _direct(
+                "1a", u, lam, scheme,
+                seed=6 + int(u * 997) + int(lam * 1e7),
+            )
+            assert record.estimate.same_values(expected)
 
 
 class TestResume:
