@@ -66,6 +66,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.config import table_spec
 from repro.sim.backends import DistributedBackend, ProcessBackend, SerialBackend
+from repro.sim.distributed import LocalCluster
 from repro.sim.montecarlo import CellAccumulator, run_range
 from repro.sim.parallel import BatchRunner
 
@@ -232,7 +233,9 @@ def bench_backends(
     backends = [("serial", lambda: SerialBackend()),
                 ("process", lambda: ProcessBackend(2))]
     if include_distributed:
-        backends.append(("distributed", lambda: DistributedBackend(cluster=2)))
+        backends.append(
+            ("distributed", lambda: DistributedBackend(cluster=LocalCluster(2)))
+        )
     for name, build in backends:
         _, jobs = _grid_jobs(reps)
         backend = build()

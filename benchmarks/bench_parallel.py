@@ -29,7 +29,8 @@ from typing import List, Tuple
 
 from repro.experiments.config import table_spec
 from repro.sim.montecarlo import CellEstimate
-from repro.sim.parallel import BatchRunner, CellJob, default_workers
+from repro.sim.backends import ProcessBackend, default_workers
+from repro.sim.parallel import BatchRunner, CellJob
 
 
 def build_grid(table_id: str, reps: int, rows: int) -> List[CellJob]:
@@ -89,9 +90,10 @@ def main(argv=None) -> int:
         f"grid: table {args.table}, {len(jobs)} adaptive cells × {reps} reps "
         f"({os.cpu_count()} CPUs visible)"
     )
-    serial_time, serial = timed(BatchRunner(workers=1), jobs)
+    serial_time, serial = timed(BatchRunner(), jobs)
     print(f"serial (workers=1):   {serial_time:8.2f}s")
-    parallel_time, parallel = timed(BatchRunner(workers=workers), jobs)
+    with BatchRunner(ProcessBackend(workers)) as pooled:
+        parallel_time, parallel = timed(pooled, jobs)
     speedup = serial_time / parallel_time if parallel_time > 0 else float("inf")
     print(f"pooled (workers={workers}):  {parallel_time:8.2f}s   "
           f"speedup ×{speedup:.2f}")

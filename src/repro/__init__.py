@@ -100,7 +100,6 @@ _EXPORTS = {
         "SerialBackend",
         "ProcessBackend",
         "DistributedBackend",
-        "make_backend",
     ),
     "repro.choices": ("BACKEND_NAMES",),
     "repro.sim.distributed": ("Coordinator", "LocalCluster", "serve_worker"),

@@ -113,10 +113,9 @@ class Session:
 
     def describe(self) -> str:
         """Human-readable execution provenance, e.g. ``process[8]/256``."""
-        name = self.backend_name
-        workers = getattr(self._runner, "workers", 1)
-        detail = f"[{workers}]" if name == "process" else ""
-        return f"{name}{detail}/{self.block_size}"
+        backend = self._runner.backend
+        detail = f"[{backend.workers}]" if backend.name == "process" else ""
+        return f"{backend.name}{detail}/{self.block_size}"
 
     # -- execution -----------------------------------------------------
 

@@ -31,7 +31,14 @@ from repro.core.schemes import (
 from repro.choices import BACKEND_NAMES, KERNEL_NAMES
 from repro.errors import ConfigurationError
 from repro.experiments import paper_data
-from repro.sim.backends import AnalyticCellJob, CellJob, DistributedBackend
+from repro.sim.backends import (
+    AnalyticCellJob,
+    CellJob,
+    DistributedBackend,
+    ProcessBackend,
+    SerialBackend,
+    default_workers,
+)
 from repro.sim.task import TaskSpec
 
 __all__ = [
@@ -52,32 +59,33 @@ class ExecutionSettings:
 
     Every entry point that takes execution flags (the CLI's ``table`` /
     ``validate`` / ``sweep`` / ``run`` commands, a
-    :class:`~repro.api.Session`) funnels them through this dataclass
-    instead of re-deriving "``--workers`` implies a process pool" by
-    hand.  Validation happens at construction — this is the only place
-    that decides which option suits which backend — and
-    :meth:`make_runner` is the only code that turns the options into a
-    backend: it builds the matching
-    :class:`~repro.sim.parallel.BatchRunner`.
+    :class:`~repro.api.Session`) funnels them through this dataclass.
+    Validation happens at construction — this is the only place that
+    decides which option suits which backend — and :meth:`make_runner`
+    is the only resolver: the one code that turns the options into a
+    backend object and the :class:`~repro.sim.parallel.BatchRunner`
+    over it.  The layers below take objects, not options.
 
     Parameters
     ----------
     backend:
         ``None`` (infer from ``workers``: unset/1 → serial, anything
-        else → process pool — the historical behaviour) or an explicit
-        name from :data:`~repro.sim.backends.BACKEND_NAMES`.
+        else → process pool, or serial where that pool would hold one
+        process) or an explicit name from
+        :data:`~repro.sim.backends.BACKEND_NAMES`.
     workers:
-        Process-pool size.  ``None`` means unspecified (serial when
-        inferred; one per CPU for an explicit ``"process"``); ``0``
-        means one per CPU; ``1`` with an explicit ``"process"`` is a
-        genuine single-process pool.
+        Process-pool size, an int.  ``None`` means unspecified (serial
+        when inferred; one per CPU for an explicit ``"process"``);
+        ``0`` means one per CPU; ``1`` with an explicit ``"process"``
+        is a genuine single-process pool.
     chunk_size:
-        Reps per block (the determinism-contract knob); ``None`` =
-        default block size.
+        Reps per block (the determinism-contract knob), an int;
+        ``None`` = default block size.  Never truncated: the block
+        size fixes the reduction tree.
     cluster_workers:
         Loopback worker subprocesses to spawn for the distributed
-        backend (``0`` = none; workers then connect externally via
-        ``repro worker``).
+        backend, an int (``0`` = none; workers then connect externally
+        via ``repro worker``).
     url:
         Coordinator bind address for the distributed backend.
     kernel:
@@ -131,6 +139,14 @@ class ExecutionSettings:
                 f"unknown backend {self.backend!r}; valid names: "
                 f"{', '.join(BACKEND_NAMES)}"
             )
+        for name in ("workers", "chunk_size", "cluster_workers"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.workers is not None and self.workers < 0:
             raise ConfigurationError(
                 f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
@@ -218,49 +234,55 @@ class ExecutionSettings:
             straggler_factor=getattr(args, "straggler_factor", None),
         )
 
+    def _pool_size(self) -> int:
+        """``workers``, with unset or ``0`` read as one per CPU."""
+        return self.workers or default_workers()
+
     @property
     def resolved_backend(self) -> str:
-        """The backend name after inference (never ``None``)."""
+        """The name of the backend :meth:`make_runner` builds.
+
+        Without an explicit ``backend``, a pool that would hold one
+        process runs in-process instead (``workers=0`` on a one-CPU
+        host is serial).
+        """
         if self.backend is not None:
             return self.backend
-        return "serial" if self.workers in (None, 1) else "process"
+        if self.workers is None or self._pool_size() == 1:
+            return "serial"
+        return "process"
 
     def make_runner(self):
         """The :class:`~repro.sim.parallel.BatchRunner` these settings
-        describe (the in-process one for the serial backend)."""
+        describe, over the backend :attr:`resolved_backend` names."""
         from repro.sim.parallel import BatchRunner
 
         resolved = self.resolved_backend
         if resolved == "serial":
-            return BatchRunner.serial(chunk_size=self.chunk_size)
-        if resolved == "process":
-            # An explicitly requested process pool honours workers
-            # verbatim (unset/0 → one per CPU, 1 → a 1-process pool);
-            # the inferred path (backend None) keeps the historical
-            # mapping where workers > 1 sized the pool and 0 meant one
-            # per CPU — serial on a 1-CPU host.
-            return BatchRunner(
-                None if self.workers in (None, 0) else self.workers,
-                chunk_size=self.chunk_size,
-                backend=self.backend,
-            )
-        tls = None
-        if self.tls_cert or self.tls_ca:
-            from repro.sim.distributed import TLSConfig
+            backend = SerialBackend()
+        elif resolved == "process":
+            backend = ProcessBackend(self._pool_size())
+        else:
+            # Imported here so that only a distributed run loads the
+            # socket transport and ssl.
+            from repro.sim.distributed import LocalCluster, TLSConfig
 
-            tls = TLSConfig(
-                cert=self.tls_cert, key=self.tls_key, ca=self.tls_ca
-            )
-        return BatchRunner(
-            chunk_size=self.chunk_size,
-            backend=DistributedBackend(
+            tls = None
+            if self.tls_cert or self.tls_ca:
+                tls = TLSConfig(
+                    cert=self.tls_cert, key=self.tls_key, ca=self.tls_ca
+                )
+            cluster = None
+            if self.cluster_workers:
+                cluster = LocalCluster(self.cluster_workers, tls=tls)
+            backend = DistributedBackend(
                 url=self.url,
-                cluster=self.cluster_workers or None,
+                cluster=cluster,
                 tls=tls,
                 connect_timeout=self.connect_timeout,
                 straggler_factor=self.straggler_factor,
-            ),
-        )
+            )
+        return BatchRunner(backend, chunk_size=self.chunk_size)
 
 
 @dataclass(frozen=True)

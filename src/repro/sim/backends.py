@@ -18,9 +18,14 @@ Three backends ship today:
   cannot be pickled run in-process; a broken pool is discarded and its
   blocks recomputed locally, so the backend never fails where the
   serial path would have succeeded.
-* :class:`DistributedBackend` — the stub surface a remote executor
-  plugs into.  The contract it must honour is exactly the one the
-  process pool honours (see its docstring); nothing upstream changes.
+* :class:`DistributedBackend` — a socket coordinator
+  (:mod:`repro.sim.distributed`) whose workers run on loopback or on
+  other hosts.  It honours exactly the contract the process pool
+  honours (see its docstring); nothing upstream changes.
+
+Backends take objects and counts, not option names:
+:meth:`~repro.experiments.config.ExecutionSettings.make_runner` is the
+one place that turns execution options into a backend.
 
 Determinism does not depend on the backend: block tasks are keyed by
 absolute block index, every job re-derives its random streams from that
@@ -58,7 +63,7 @@ from typing import (
 
 from repro.choices import BACKEND_NAMES, KERNEL_NAMES
 from repro.core.analysis import StaticSchedule, static_outcome, static_schedule
-from repro.errors import ConfigurationError, ParameterError, SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.sim.energy import EnergyModel
 from repro.sim.executor import SimulationLimits, default_energy_model
 from repro.sim.faults import FaultProcess
@@ -81,7 +86,6 @@ __all__ = [
     "ProcessBackend",
     "DistributedBackend",
     "BACKEND_NAMES",
-    "make_backend",
     "execute_block",
     "execute_batch",
     "dispatch_kind",
@@ -401,6 +405,7 @@ class SerialBackend:
     """In-process block execution — the reference backend."""
 
     name = "serial"
+    workers = 1
 
     def run_tasks(self, tasks: Sequence[BlockTask]) -> List[CellAccumulator]:
         return [execute_block(task) for task in tasks]
@@ -425,16 +430,14 @@ class ProcessBackend:
     untouched, so results are bit-identical whatever the EWMA state
     (``tests/test_backend_conformance.py``).
 
-    ``workers`` is the pool size (``None`` = :func:`default_workers`);
-    it is the only option — the rest of the execution options are
+    ``workers`` is the pool size, an int >= 1; it is the only option —
+    the rest of the execution options are
     :class:`~repro.experiments.config.ExecutionSettings` fields.
     """
 
     name = "process"
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is None:
-            workers = default_workers()
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
@@ -587,10 +590,10 @@ class DistributedBackend:
         loopback with an OS-assigned port).  Remote workers join with
         ``repro worker tcp://<coordinator-host>:<port>``.
     cluster:
-        A :class:`~repro.sim.distributed.LocalCluster` (or a worker
-        count, shorthand for one) to spawn loopback worker subprocesses
-        automatically — the tests/CLI path.  ``None`` means workers are
-        started externally against :attr:`coordinator_url`.
+        A :class:`~repro.sim.distributed.LocalCluster` whose loopback
+        worker subprocesses start with the coordinator — the tests/CLI
+        path.  ``None`` means workers are started externally against
+        :attr:`coordinator_url`.
     batch_size / connect_timeout / tls / straggler_factor:
         The :class:`~repro.sim.distributed.Coordinator`'s pre-observation
         claim size, wait-for-workers timeout, :class:`~repro.sim.
@@ -616,21 +619,12 @@ class DistributedBackend:
         tls: Optional[object] = None,
         straggler_factor: Optional[float] = None,
     ) -> None:
-        if isinstance(cluster, int):
-            from repro.sim.distributed import LocalCluster
-
-            cluster = LocalCluster(cluster, tls=tls)
         self.url = url
         self.cluster = cluster
         self.batch_size = batch_size
-        # None = coordinator default, unless the cluster carries its
-        # own advisory timeout (slow CI hosts configure it there).
-        if connect_timeout is None and cluster is not None:
-            connect_timeout = getattr(cluster, "connect_timeout", None)
         self.connect_timeout = connect_timeout
         #: :class:`~repro.sim.distributed.TLSConfig` (or None): the
-        #: coordinator serves TLS and a :class:`LocalCluster` built
-        #: here spawns workers with the matching flags.
+        #: coordinator serves TLS.
         self.tls = tls
         #: None = coordinator default; 0 disables speculation (the
         #: same convention ``--straggler-factor 0`` uses on the CLI).
@@ -707,64 +701,6 @@ class DistributedBackend:
                 # don't fall back in-process before anyone arrives.
                 self._coordinator.wait_for_workers(1)
         return self._coordinator
-
-
-def make_backend(backend, *, workers: Optional[int] = None):
-    """Resolve a backend selector to an :class:`ExecutionBackend`.
-
-    ``backend`` may already be a backend instance (returned as-is) or
-    one of :data:`BACKEND_NAMES`:
-
-    * ``"serial"`` — :class:`SerialBackend` (in-process reference).
-    * ``"process"`` — :class:`ProcessBackend` over ``workers``
-      processes (``None`` = one per CPU).
-    * ``"distributed"`` — :class:`DistributedBackend` with the
-      coordinator defaults (loopback bind, externally started workers).
-
-    ``workers`` is the only option taken here.  The distributed
-    options (cluster size, URL, TLS, connect timeout, straggler factor)
-    are :class:`~repro.experiments.config.ExecutionSettings` fields,
-    whose :meth:`~repro.experiments.config.ExecutionSettings.
-    make_runner` builds the configured :class:`DistributedBackend`
-    itself.
-    """
-    if not isinstance(backend, str):
-        if isinstance(backend, ExecutionBackend):
-            if workers is not None:
-                raise ParameterError(
-                    "workers cannot reconfigure an already-constructed "
-                    "backend instance; pass it when building it, or use "
-                    "a backend name"
-                )
-            return backend
-        raise ParameterError(
-            f"backend must be an ExecutionBackend or one of "
-            f"{BACKEND_NAMES}, got {backend!r}"
-        )
-    if backend in ("serial", "distributed") and workers is not None:
-        raise ParameterError(
-            f"workers does not apply to backend={backend!r}"
-            + (" (use cluster_workers)" if backend == "distributed" else "")
-        )
-    if backend == "serial":
-        return SerialBackend()
-    if backend == "process":
-        # ``workers=0`` is ExecutionSettings' "one per CPU" spelling —
-        # at this layer only ``None`` means that, so catch the off-by-
-        # one-layer value explicitly instead of letting ProcessBackend
-        # reject it with a bare range error.
-        if workers == 0:
-            raise ConfigurationError(
-                "workers must be >= 1 for the process backend, or None "
-                "for one per CPU; got 0 (ExecutionSettings maps its "
-                "workers=0 convention to None before reaching here)"
-            )
-        return ProcessBackend(workers)
-    if backend == "distributed":
-        return DistributedBackend()
-    raise ParameterError(
-        f"unknown backend {backend!r}; valid names: {', '.join(BACKEND_NAMES)}"
-    )
 
 
 def _picklable(job: object) -> bool:

@@ -1077,7 +1077,6 @@ class LocalCluster:
         respawn_poll: float = 0.2,
         tls: Optional[TLSConfig] = None,
         delay: Union[None, float, Sequence[Optional[float]]] = None,
-        connect_timeout: Optional[float] = None,
     ) -> None:
         if workers < 0:
             raise ParameterError(f"workers must be >= 0, got {workers}")
@@ -1088,11 +1087,6 @@ class LocalCluster:
         if respawn_poll <= 0:
             raise ParameterError(
                 f"respawn_poll must be > 0, got {respawn_poll}"
-            )
-        if connect_timeout is not None and not 0 < connect_timeout < math.inf:
-            raise ParameterError(
-                f"connect_timeout must be a finite value > 0, got "
-                f"{connect_timeout}"
             )
         self.size = int(workers)
         self.idle_timeout = float(idle_timeout)
@@ -1120,11 +1114,6 @@ class LocalCluster:
         #: TLS material forwarded to each spawned worker (the
         #: coordinator these workers connect to must serve TLS).
         self.tls = tls
-        #: Advisory wait-for-workers timeout for whoever starts this
-        #: cluster (slow CI hosts set it higher than the default).
-        self.connect_timeout = (
-            None if connect_timeout is None else float(connect_timeout)
-        )
         self.python = python or sys.executable
         self.max_respawns = int(max_respawns)
         self.respawn_poll = float(respawn_poll)

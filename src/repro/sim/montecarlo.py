@@ -15,10 +15,10 @@ substream_range`, with the same streams).  Aggregation is
 *blocked*: reps accumulate into fixed-size blocks of O(1) streaming
 moments (:mod:`repro.sim.metrics`), merged in block order.  That
 discipline is what lets :mod:`repro.sim.parallel` shard a cell across
-processes (``estimate(..., runner=BatchRunner(workers=8))``) — or any
-other :mod:`~repro.sim.backends` backend — and still return the
-bit-identical :class:`CellEstimate` of a one-worker pass, without ever
-shipping raw per-rep observations.
+processes (``estimate(..., runner=BatchRunner(ProcessBackend(8)))``)
+— or any other :mod:`~repro.sim.backends` backend — and still return
+the bit-identical :class:`CellEstimate` of a one-worker pass, without
+ever shipping raw per-rep observations.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def estimate(
         faults_during_overhead=faults_during_overhead,
         limits=limits,
     )
-    return (runner or BatchRunner.serial()).run_cell(job)
+    return (runner or BatchRunner()).run_cell(job)
 
 
 class CellAccumulator:

@@ -6,8 +6,7 @@ embarrassingly parallel workload that the serial harness leaves
 wall-clock bound at paper scale (10,000-rep adaptive cells).  This
 module cuts that work into fixed-size **rep blocks** and hands them to
 an :class:`~repro.sim.backends.ExecutionBackend` — in-process, a
-process pool, or (eventually) a distributed transport — without
-changing the estimates.
+process pool, or a socket cluster — without changing the estimates.
 
 Determinism contract
 --------------------
@@ -35,10 +34,11 @@ so it is recorded alongside the seed when reproducibility matters.
 
 Fallbacks
 ---------
-``workers=1`` (the default) runs everything in-process through the same
-block/merge code path.  Jobs whose policy factory cannot be pickled
-(e.g. a closure) are detected up front and run in-process too, so the
-runner never fails where the serial harness would have succeeded.
+Without a backend (the default) everything runs in-process through the
+same block/merge code path.  Jobs whose policy factory cannot be
+pickled (e.g. a closure) are detected up front and run in-process too,
+so the runner never fails where the serial harness would have
+succeeded.
 
 The grid API (:meth:`BatchRunner.run_cells`) is what the experiment
 layer uses: all blocks of all cells are interleaved in one batch, so a
@@ -47,16 +47,13 @@ grid with one slow adaptive column still keeps every worker busy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ParameterError
 from repro.sim.backends import (
     CellJob,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
-    default_workers,
-    make_backend,
     plan_blocks,
 )
 from repro.sim.montecarlo import CellAccumulator, CellEstimate
@@ -64,7 +61,6 @@ from repro.sim.montecarlo import CellAccumulator, CellEstimate
 __all__ = [
     "CellJob",
     "BatchRunner",
-    "default_workers",
     "DEFAULT_BLOCK_SIZE",
 ]
 
@@ -75,88 +71,46 @@ __all__ = [
 #: giving a 10,000-rep cell ~40 blocks to load-balance.
 DEFAULT_BLOCK_SIZE = 256
 
-#: Sentinel distinguishing "workers not given" from an explicit value —
-#: the inference path reads the default as 1 (serial), but a named
-#: backend must read it as "unspecified" (e.g. a process pool defaults
-#: to one worker per CPU, not a 1-process pool).
-_UNSET_WORKERS = object()
-
 
 class BatchRunner:
     """Plans cell grids into rep blocks, runs them on a backend, merges.
 
     Parameters
     ----------
-    workers:
-        Worker processes.  ``1`` (default) executes in-process via
-        :class:`~repro.sim.backends.SerialBackend`; ``None`` means
-        :func:`default_workers`; anything else builds a
-        :class:`~repro.sim.backends.ProcessBackend`.  With an explicit
-        ``backend`` name it sizes the process pool (see below).
+    backend:
+        The :class:`~repro.sim.backends.ExecutionBackend` blocks run on;
+        ``None`` (default) is a :class:`~repro.sim.backends.
+        SerialBackend`.  Pass ``ProcessBackend(n)`` for a pool of ``n``
+        processes, or a configured ``DistributedBackend``.  Execution
+        options (worker counts, cluster size, URL, TLS, timeouts) are
+        :class:`~repro.experiments.config.ExecutionSettings` fields,
+        whose :meth:`~repro.experiments.config.ExecutionSettings.
+        make_runner` builds the backend and the runner over it.
     chunk_size:
         Reps per block — the unit of both scheduling *and* accumulation
         (see the module docstring).  ``None`` means
         :data:`DEFAULT_BLOCK_SIZE`.  For a fixed value, results are
         bit-identical across worker counts and backends.
-    backend:
-        An explicit :class:`~repro.sim.backends.ExecutionBackend`
-        instance or one of the names in :data:`~repro.sim.backends.
-        BACKEND_NAMES` (``"serial"``, ``"process"``, ``"distributed"``);
-        overrides the ``workers``-based inference.  ``"process"`` uses
-        ``workers`` for its pool size — unspecified/``None`` = one per
-        CPU (matching every higher-level entry point), an explicit
-        ``1`` = a genuine single-process pool (unlike the inference
-        path, where 1 means serial).  ``"distributed"`` builds a
-        default :class:`~repro.sim.backends.DistributedBackend`; a
-        configured one (cluster, URL, TLS, timeouts) is built by
-        :meth:`~repro.experiments.config.ExecutionSettings.make_runner`
-        and passed here as an instance.
-
-    Distributed options are :class:`~repro.experiments.config.
-    ExecutionSettings` fields, not runner arguments: the settings are
-    the one place that validates which option suits which backend.
     """
 
     def __init__(
         self,
-        workers: Optional[int] = _UNSET_WORKERS,  # type: ignore[assignment]
+        backend: Optional[ExecutionBackend] = None,
         *,
         chunk_size: Optional[int] = None,
-        backend: Union[ExecutionBackend, str, None] = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
         self.block_size = int(chunk_size) if chunk_size else DEFAULT_BLOCK_SIZE
-        if backend is not None:
-            self.backend: ExecutionBackend = make_backend(
-                backend,
-                workers=None if workers is _UNSET_WORKERS else workers,
+        if backend is None:
+            backend = SerialBackend()
+        elif not isinstance(backend, ExecutionBackend):
+            raise ParameterError(
+                f"backend must be an ExecutionBackend, got {backend!r}"
             )
-            self.workers = getattr(self.backend, "workers", 1)
-            return
-        if workers is _UNSET_WORKERS:
-            workers = 1  # the historical serial default
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        if self.workers == 1:
-            self.backend = SerialBackend()
-        else:
-            self.backend = ProcessBackend(self.workers)
+        self.backend: ExecutionBackend = backend
 
     # -- public API ----------------------------------------------------
-
-    @property
-    def chunk_size(self) -> int:
-        """Alias for :attr:`block_size` (the CLI flag's name)."""
-        return self.block_size
-
-    @classmethod
-    def serial(cls, *, chunk_size: Optional[int] = None) -> "BatchRunner":
-        """The in-process runner — the serial fallback everywhere."""
-        return cls(workers=1, chunk_size=chunk_size)
 
     def close(self) -> None:
         """Release backend resources (idempotent; pools recreate lazily)."""

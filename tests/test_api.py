@@ -28,7 +28,7 @@ CONSTANT_HOMES = {
 
 class TestPublicSurface:
     def test_all_names_resolve(self):
-        assert len(set(repro.__all__)) == len(repro.__all__) == 71
+        assert len(set(repro.__all__)) == len(repro.__all__) == 70
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ advertises missing {name}"
 
@@ -237,6 +237,33 @@ class TestStartUp:
             text=True,
             timeout=120,
             env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_serial_and_process_studies_never_load_the_socket_transport(self):
+        # Only a distributed run needs the socket transport and ssl; the
+        # resolver imports them on that branch alone, so a serial or
+        # process-pool study starts without paying for either.
+        code = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+
+            spec = repro.StudySpec(kind="table", table="1a", reps=4, seed=2006)
+            repro.Study(spec).run()
+            with repro.Session(backend="process", workers=2) as session:
+                repro.Study(spec).run(session)
+            print([m for m in ("repro.sim.distributed", "ssl") if m in sys.modules])
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=repro_env(),
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"

@@ -139,13 +139,13 @@ def reference_task_results():
 @pytest.fixture(scope="module")
 def reference_estimates():
     """Whole-grid estimates from the serial runner at the shared chunk."""
-    return BatchRunner.serial(chunk_size=CHUNK).run_cells(_mixed_jobs())
+    return BatchRunner(chunk_size=CHUNK).run_cells(_mixed_jobs())
 
 
 @pytest.fixture(scope="module")
 def two_kind_reference():
     """The serial estimates of the two-kind dispatch grid."""
-    return BatchRunner.serial(chunk_size=CHUNK).run_cells(_two_kind_jobs())
+    return BatchRunner(chunk_size=CHUNK).run_cells(_two_kind_jobs())
 
 
 class TestSharedContract:
@@ -205,7 +205,7 @@ class TestSharedContract:
             reps=30,
             seed=3,
         )
-        reference = BatchRunner.serial(chunk_size=CHUNK).run_cells([job])[0]
+        reference = BatchRunner(chunk_size=CHUNK).run_cells([job])[0]
         runner = BatchRunner(backend=backend, chunk_size=CHUNK)
         estimate = runner.run_cells([job])[0]
         assert estimate.same_values(reference)

@@ -169,7 +169,7 @@ class TestCustomBackendPlugsIn:
         backend = CountingBackend()
         runner = BatchRunner(backend=backend, chunk_size=30)
         estimates = runner.run_cells(jobs)
-        reference = BatchRunner.serial(chunk_size=30).run_cells(jobs)
+        reference = BatchRunner(chunk_size=30).run_cells(jobs)
         assert backend.calls == 1
         assert all(
             a.same_values(b) for a, b in zip(estimates, reference)

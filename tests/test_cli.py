@@ -7,7 +7,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments.config import ExecutionSettings
 from repro.experiments.paper_data import TABLE_IDS
-from repro.sim.parallel import DEFAULT_BLOCK_SIZE, BatchRunner, default_workers
+from repro.sim.backends import default_workers
+from repro.sim.parallel import DEFAULT_BLOCK_SIZE, BatchRunner
 
 
 def _runner(args):
@@ -135,11 +136,11 @@ class TestWorkersFlag:
         assert args.workers == 4
         runner = _runner(args)
         assert isinstance(runner, BatchRunner)
-        assert runner.workers == 4
+        assert runner.backend.workers == 4
 
     def test_zero_means_cpu_count(self):
         args = build_parser().parse_args(["validate", "--workers", "0"])
-        assert _runner(args).workers == default_workers()
+        assert _runner(args).backend.workers == default_workers()
 
     def test_accepted_on_validate_and_sweep(self):
         assert build_parser().parse_args(
@@ -184,14 +185,14 @@ class TestChunkSizeFlag:
         runner = _runner(args)
         assert isinstance(runner, BatchRunner)
         assert runner.block_size == 128
-        assert runner.workers == 1  # block size alone keeps serial
+        assert runner.backend.workers == 1  # block size alone keeps serial
 
     def test_combines_with_workers(self):
         args = build_parser().parse_args(
             ["validate", "--workers", "3", "--chunk-size", "50"]
         )
         runner = _runner(args)
-        assert runner.workers == 3
+        assert runner.backend.workers == 3
         assert runner.block_size == 50
 
     @pytest.mark.parametrize("bad", ["0", "-4", "two"])
@@ -432,7 +433,7 @@ class TestBackendFlag:
             ["table", "1a", "--backend", "process", "--workers", "3"]
         )
         runner = _runner(args)
-        assert runner.workers == 3
+        assert runner.backend.workers == 3
         assert runner.backend.name == "process"
         runner.close()
 
@@ -445,7 +446,7 @@ class TestBackendFlag:
         runner = _runner(args)
         try:
             assert runner.backend.name == "process"
-            assert runner.workers == default_workers()
+            assert runner.backend.workers == default_workers()
         finally:
             runner.close()
 
@@ -456,7 +457,7 @@ class TestBackendFlag:
         runner = _runner(args)
         try:
             assert runner.backend.name == "process"
-            assert runner.workers == 1
+            assert runner.backend.workers == 1
         finally:
             runner.close()
 

@@ -64,7 +64,7 @@ def wall():
     """(label, exact estimate, analytic estimate, analytic job) per cell."""
     exact = _static_cells(fast_static=False)
     analytic = _static_cells(fast_static=True)
-    runner = BatchRunner.serial()
+    runner = BatchRunner()
     sampled = runner.run_cells([plan.job for _, plan in exact])
     closed = runner.run_cells([plan.job for _, plan in analytic])
     return [
@@ -85,7 +85,7 @@ def fast_jobs():
 @pytest.fixture(scope="module")
 def fast_wall(wall, fast_jobs):
     """(label, fast-kernel estimate, analytic estimate, analytic job)."""
-    sampled = BatchRunner.serial().run_cells(fast_jobs)
+    sampled = BatchRunner().run_cells(fast_jobs)
     return [
         (label, ours, theirs, job)
         for (label, _exact, theirs, job), ours in zip(wall, sampled)

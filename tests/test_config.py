@@ -133,7 +133,7 @@ class TestExecutionSettings:
         settings = self._settings(workers=4)
         assert settings.resolved_backend == "process"
         runner = settings.make_runner()
-        assert runner.workers == 4
+        assert runner.backend.workers == 4
         runner.close()
 
     def test_workers_one_stays_serial_when_inferred(self):
@@ -142,31 +142,40 @@ class TestExecutionSettings:
         assert settings.make_runner().backend.name == "serial"
 
     def test_explicit_process_honours_workers_verbatim(self):
-        from repro.sim.parallel import default_workers
+        from repro.sim.backends import default_workers
 
         unspecified = self._settings(backend="process").make_runner()
         assert unspecified.backend.name == "process"
-        assert unspecified.workers == default_workers()
+        assert unspecified.backend.workers == default_workers()
         unspecified.close()
         single = self._settings(backend="process", workers=1).make_runner()
         assert single.backend.name == "process"
-        assert single.workers == 1  # a genuine 1-process pool
+        assert single.backend.workers == 1  # a genuine 1-process pool
         single.close()
 
     def test_workers_zero_means_all_cpus(self):
-        from repro.sim.parallel import default_workers
+        from repro.sim.backends import default_workers
 
         runner = self._settings(workers=0).make_runner()
-        assert runner.workers == default_workers()
+        assert runner.backend.workers == default_workers()
         runner.close()
 
     def test_workers_zero_on_one_cpu_runs_serial(self, monkeypatch):
         # The inferred path sizes the pool from the CPU count, and a
         # one-CPU host gets the in-process backend, not a 1-process pool.
-        monkeypatch.setattr("repro.sim.parallel.default_workers", lambda: 1)
-        runner = self._settings(workers=0).make_runner()
+        monkeypatch.setattr(
+            "repro.experiments.config.default_workers", lambda: 1
+        )
+        settings = self._settings(workers=0)
+        assert settings.resolved_backend == "serial"
+        runner = settings.make_runner()
         assert runner.backend.name == "serial"
-        assert runner.workers == 1
+        assert runner.backend.workers == 1
+        # An explicit process backend still gets a pool, of one process.
+        pool = self._settings(backend="process", workers=0).make_runner()
+        assert pool.backend.name == "process"
+        assert pool.backend.workers == 1
+        pool.close()
 
     def test_chunk_size_alone_stays_serial(self):
         runner = self._settings(chunk_size=64).make_runner()
@@ -218,6 +227,10 @@ class TestExecutionSettings:
             dict(backend="distributed", connect_timeout=float("inf")),
             dict(backend="distributed", straggler_factor=float("nan")),
             dict(backend="distributed", straggler_factor=float("inf")),
+            dict(chunk_size=100.7),
+            dict(workers=2.5),
+            dict(workers=True),
+            dict(backend="distributed", cluster_workers=1.5),
         ],
     )
     def test_contradictions_rejected(self, kwargs):

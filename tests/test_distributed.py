@@ -3,8 +3,7 @@
 The conformance and fault-injection suites prove end-to-end behaviour;
 this module pins the smaller moving parts — URL parsing, framing,
 worker lifecycle (idle timeout, bad addresses), coordinator lifecycle
-(wait timeout, closed-state errors), cluster validation, and the
-string backend selector.
+(wait timeout, closed-state errors) and cluster validation.
 """
 
 import socket
@@ -14,12 +13,7 @@ import threading
 import pytest
 
 from repro.errors import ParameterError, SimulationError
-from repro.sim.backends import (
-    DistributedBackend,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.sim.backends import DistributedBackend
 from repro.sim.distributed import (
     DEFAULT_PORT,
     Coordinator,
@@ -170,11 +164,6 @@ class TestLocalCluster:
         with pytest.raises(ParameterError):
             LocalCluster(-1)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
-    def test_rejects_non_finite_connect_timeout(self, bad):
-        with pytest.raises(ParameterError, match="connect_timeout"):
-            LocalCluster(1, connect_timeout=bad)
-
     def test_validates_max_tasks_length(self):
         with pytest.raises(ParameterError):
             LocalCluster(2, max_tasks=(1,))
@@ -270,53 +259,3 @@ class TestClusterSpawnFailure:
                 backend.run_tasks(plan_blocks(jobs, 32))
         finally:
             backend.close()
-
-
-class TestMakeBackend:
-    def test_names_resolve(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        pool = make_backend("process", workers=2)
-        assert isinstance(pool, ProcessBackend) and pool.workers == 2
-        dist = make_backend("distributed")
-        assert isinstance(dist, DistributedBackend)
-        assert dist.cluster is None
-        dist.close()
-
-    def test_instance_passes_through(self):
-        instance = SerialBackend()
-        assert make_backend(instance) is instance
-
-    def test_instance_with_topology_knobs_rejected(self):
-        with pytest.raises(ParameterError, match="already-constructed"):
-            make_backend(DistributedBackend(), workers=2)
-        with pytest.raises(ParameterError, match="already-constructed"):
-            make_backend(SerialBackend(), workers=4)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ParameterError, match="unknown backend"):
-            make_backend("quantum")
-        with pytest.raises(ParameterError):
-            make_backend(42)
-
-    def test_inapplicable_topology_knobs_rejected(self):
-        with pytest.raises(ParameterError, match="workers"):
-            make_backend("distributed", workers=2)
-        with pytest.raises(ParameterError, match="workers"):
-            make_backend("serial", workers=2)
-
-    def test_batchrunner_defaults_process_pool_to_all_cpus(self):
-        from repro.sim.backends import default_workers
-        from repro.sim.parallel import BatchRunner
-
-        unspecified = BatchRunner(backend="process")
-        assert unspecified.workers == default_workers()
-        unspecified.close()
-        single = BatchRunner(workers=1, backend="process")
-        assert single.workers == 1  # explicit 1 = a real 1-process pool
-        single.close()
-
-    def test_int_cluster_shorthand(self):
-        backend = DistributedBackend(cluster=2)
-        assert isinstance(backend.cluster, LocalCluster)
-        assert backend.cluster.size == 2
-        backend.close()

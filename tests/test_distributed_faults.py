@@ -99,7 +99,7 @@ def _grid_jobs():
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    return BatchRunner.serial(chunk_size=CHUNK).run_cells(_grid_jobs())
+    return BatchRunner(chunk_size=CHUNK).run_cells(_grid_jobs())
 
 
 def _assert_identical_to_serial(estimates, serial_reference):
@@ -353,7 +353,7 @@ class TestMergeIdempotence:
             )
         chunk = rng.choice([8, 16, 32])
         tasks = plan_blocks(jobs, chunk)
-        baseline = BatchRunner.serial(chunk_size=chunk).run_cells(jobs)
+        baseline = BatchRunner(chunk_size=chunk).run_cells(jobs)
 
         merged = {}
         for block_task in tasks:
@@ -600,16 +600,13 @@ class TestStragglers:
         _assert_identical_to_serial(estimates, serial_reference)
 
     def test_wait_for_workers_default_is_configurable(self):
-        """Satellite: the historical hard-coded 10 s default is now the
-        coordinator's wait_timeout, and LocalCluster carries the knob
-        as an advisory attribute the backend reads."""
+        """How long the backend waits for workers is the coordinator's
+        wait_timeout."""
         with Coordinator(wait_timeout=0.3) as coordinator:
             started = time.monotonic()
             assert coordinator.wait_for_workers(1) == 0  # nobody connects
             elapsed = time.monotonic() - started
             assert 0.2 <= elapsed < 5.0
-        cluster = LocalCluster(1, connect_timeout=7.5)
-        assert cluster.connect_timeout == 7.5
 
 
 class TestSpeculativeDuplicates:
@@ -648,7 +645,7 @@ class TestSpeculativeDuplicates:
     @classmethod
     def _serial_baseline(cls):
         if not hasattr(cls, "_baseline"):
-            cls._baseline = BatchRunner.serial(chunk_size=CHUNK).run_cells(
+            cls._baseline = BatchRunner(chunk_size=CHUNK).run_cells(
                 cls._property_jobs()
             )
         return cls._baseline

@@ -19,7 +19,7 @@ from repro.core.schemes import (
     PoissonArrivalPolicy,
 )
 from repro.errors import ParameterError
-from repro.sim.backends import AnalyticCellJob
+from repro.sim.backends import AnalyticCellJob, ProcessBackend
 from repro.sim.montecarlo import estimate
 from repro.sim.parallel import BatchRunner
 from repro.sim.task import TaskSpec
@@ -40,9 +40,15 @@ def make_task(**overrides):
     return TaskSpec(**params)
 
 
+def _runner(workers, chunk_size=None):
+    """In-process for one worker, else a pool of ``workers`` processes."""
+    backend = ProcessBackend(workers) if workers > 1 else None
+    return BatchRunner(backend, chunk_size=chunk_size)
+
+
 def analytic(task, policy, *, reps=1000):
     job = AnalyticCellJob(task=task, policy_factory=policy, reps=reps)
-    return BatchRunner.serial().run_cell(job)
+    return BatchRunner().run_cell(job)
 
 
 def within(estimate_ci, value, widen=1.7):
@@ -165,17 +171,17 @@ class TestSeededSharding:
         )
 
     def test_workers_1_vs_4_identical(self):
-        serial = BatchRunner.serial().run_cell(self.job())
-        with BatchRunner(workers=4) as runner:
+        serial = BatchRunner().run_cell(self.job())
+        with BatchRunner(ProcessBackend(4)) as runner:
             pooled = runner.run_cell(self.job())
         assert serial.same_values(pooled)
         assert serial.reps == 2000
 
     def test_every_block_size_invariant_across_workers(self):
-        reference = BatchRunner.serial(chunk_size=2000).run_cell(self.job())
+        reference = BatchRunner(chunk_size=2000).run_cell(self.job())
         for block in (2000, 300, 97, 1):
             for workers in (1, 4):
-                with BatchRunner(workers=workers, chunk_size=block) as runner:
+                with _runner(workers, block) as runner:
                     ours = runner.run_cell(self.job())
                 assert ours.same_values(reference), (block, workers)
 
@@ -191,8 +197,8 @@ class TestSeededSharding:
                 task=task, policy_factory=AdaptiveSCPPolicy, reps=60, seed=2
             ),
         ]
-        serial = BatchRunner.serial().run_cells(jobs)
-        with BatchRunner(workers=2) as runner:
+        serial = BatchRunner().run_cells(jobs)
+        with BatchRunner(ProcessBackend(2)) as runner:
             pooled = runner.run_cells(jobs)
         assert all(s.same_values(p) for s, p in zip(serial, pooled))
 
@@ -239,7 +245,7 @@ class TestExactCounters:
         job = AnalyticCellJob(
             task=task, policy_factory=partial(PoissonArrivalPolicy, 1.0), reps=8
         )
-        fast = BatchRunner.serial().run_cell(job)
+        fast = BatchRunner().run_cell(job)
         assert fast.mean_detected_faults > 0.5
         assert fast.mean_checkpoints == pytest.approx(
             job.schedule().n_intervals + fast.mean_detected_faults, abs=1e-9

@@ -9,12 +9,11 @@ in fast mode (and vice versa), and ``StudySpec`` hashes ``kernel``
 into the spec hash — while eliding the default so every pre-kernel
 spec hash is unchanged.
 
-Also covered here (same PR, same execution-configuration seam): the
-``workers=0`` validation split — ``ExecutionSettings.workers=0`` is
-the documented one-per-CPU convention and must keep working, while
-``make_backend("process", workers=0)`` (which has no such convention)
-must be rejected loudly instead of building a broken pool — plus the
-``--kernel`` CLI flag and the ``record-golden`` diff reporting.
+Also covered here (same execution-configuration seam):
+``ExecutionSettings.workers=0`` is the documented one-per-CPU
+convention and must keep building a pool of at least one process,
+plus the ``--kernel`` CLI flag and the ``record-golden`` diff
+reporting.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.api import ResultSet, Session, Study, StudySpec
 from repro.api.results import CellRecord
 from repro.errors import ConfigurationError, ParameterError
 from repro.experiments.config import ExecutionSettings, table_spec
-from repro.sim.backends import make_backend
 
 
 def _small_spec(kernel="exact", seed=5):
@@ -223,14 +221,9 @@ def test_cell_job_validates_kernel():
         dataclasses.replace(job, kernel="warp")
 
 
-def test_make_backend_rejects_workers_zero_for_process():
-    with pytest.raises(ConfigurationError, match="workers"):
-        make_backend("process", workers=0)
-
-
 def test_execution_settings_workers_zero_still_means_one_per_cpu():
     # The *settings* layer documents workers=0 as one-per-CPU; it must
-    # keep translating that convention before reaching make_backend.
+    # keep translating that convention into a pool size of at least 1.
     settings = ExecutionSettings(backend="process", workers=0)
     runner = settings.make_runner()
     try:

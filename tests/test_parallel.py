@@ -19,18 +19,19 @@ import pytest
 from repro.core.checkpoints import CostModel
 from repro.core.schemes import AdaptiveSCPPolicy, PoissonArrivalPolicy
 from repro.errors import ParameterError
-from repro.sim.backends import plan_blocks
+from repro.sim.backends import ProcessBackend, plan_blocks
 from repro.sim.executor import RunResult
 from repro.sim.montecarlo import CellAccumulator, estimate, run_range
-from repro.sim.parallel import (
-    DEFAULT_BLOCK_SIZE,
-    BatchRunner,
-    CellJob,
-    default_workers,
-)
+from repro.sim.parallel import DEFAULT_BLOCK_SIZE, BatchRunner, CellJob
 from repro.sim.task import TaskSpec
 
 COSTS = CostModel.scp_favourable()
+
+
+def _runner(workers, chunk_size=None):
+    """In-process for one worker, else a pool of ``workers`` processes."""
+    backend = ProcessBackend(workers) if workers > 1 else None
+    return BatchRunner(backend, chunk_size=chunk_size)
 
 
 @pytest.fixture
@@ -72,8 +73,8 @@ class TestDeterminism:
 
     def test_workers_1_vs_4_identical(self, task):
         job = CellJob(task=task, policy_factory=AdaptiveSCPPolicy, reps=64, seed=5)
-        one = BatchRunner(workers=1).run_cell(job)
-        four = BatchRunner(workers=4).run_cell(job)
+        one = BatchRunner().run_cell(job)
+        four = BatchRunner(ProcessBackend(4)).run_cell(job)
         assert one.same_values(four)
 
     def test_block_size_invariant_across_worker_counts(self, task):
@@ -81,10 +82,7 @@ class TestDeterminism:
         # count performs the same accumulations in the same order.
         job = CellJob(task=task, policy_factory=AdaptiveSCPPolicy, reps=60, seed=8)
         for block in (60, 7, 13, 1, None):
-            estimates = [
-                BatchRunner(workers=w, chunk_size=block).run_cell(job)
-                for w in (1, 2, 4)
-            ]
+            estimates = [_runner(w, block).run_cell(job) for w in (1, 2, 4)]
             assert all(e.same_values(estimates[0]) for e in estimates)
 
     def test_chunk_size_irrelevant(self, task):
@@ -92,7 +90,7 @@ class TestDeterminism:
         # block sizes change the merge tree but not the final bits.
         job = CellJob(task=task, policy_factory=AdaptiveSCPPolicy, reps=60, seed=8)
         estimates = [
-            BatchRunner(workers=w, chunk_size=c).run_cell(job)
+            _runner(w, c).run_cell(job)
             for w, c in [(1, 60), (1, 7), (2, 13), (4, 1), (3, None)]
         ]
         assert all(e.same_values(estimates[0]) for e in estimates)
@@ -104,12 +102,12 @@ class TestDeterminism:
             AdaptiveSCPPolicy,
             reps=50,
             seed=11,
-            runner=BatchRunner(workers=2, chunk_size=9),
+            runner=BatchRunner(ProcessBackend(2), chunk_size=9),
         )
         assert serial.same_values(via_runner)
 
     def test_different_seed_differs(self, task):
-        runner = BatchRunner(workers=2)
+        runner = BatchRunner(ProcessBackend(2))
         a = runner.run_cell(
             CellJob(task=task, policy_factory=AdaptiveSCPPolicy, reps=50, seed=1)
         )
@@ -128,8 +126,8 @@ class TestDeterminism:
             )
             for s in (3, 4, 5)
         ]
-        pooled = BatchRunner(workers=3, chunk_size=11).run_cells(jobs)
-        serial = [BatchRunner(workers=1).run_cell(j) for j in jobs]
+        pooled = BatchRunner(ProcessBackend(3), chunk_size=11).run_cells(jobs)
+        serial = [BatchRunner().run_cell(j) for j in jobs]
         assert all(p.same_values(s) for p, s in zip(pooled, serial))
 
 
@@ -193,7 +191,7 @@ class TestEmptyTimelyNaN:
             fault_rate=1e-4,
             costs=COSTS,
         )
-        cell = BatchRunner(workers=2, chunk_size=10).run_cell(
+        cell = BatchRunner(ProcessBackend(2), chunk_size=10).run_cell(
             CellJob(
                 task=doomed,
                 policy_factory=partial(PoissonArrivalPolicy, 1.0),
@@ -209,8 +207,8 @@ class TestFallbacks:
     def test_unpicklable_factory_falls_back_to_serial(self, task):
         factory = lambda: PoissonArrivalPolicy(1.0)  # noqa: E731 - closure on purpose
         job = CellJob(task=task, policy_factory=factory, reps=40, seed=7)
-        pooled = BatchRunner(workers=4).run_cell(job)
-        serial = BatchRunner(workers=1).run_cell(job)
+        pooled = BatchRunner(ProcessBackend(4)).run_cell(job)
+        serial = BatchRunner().run_cell(job)
         assert pooled.same_values(serial)
 
     def test_mixed_grid_keeps_order(self, task):
@@ -222,18 +220,18 @@ class TestFallbacks:
             task=task, policy_factory=lambda: PoissonArrivalPolicy(1.0),
             reps=30, seed=1,
         )
-        pooled = BatchRunner(workers=2).run_cells([picklable, closure])
+        pooled = BatchRunner(ProcessBackend(2)).run_cells([picklable, closure])
         assert pooled[0].same_values(pooled[1])
 
     def test_empty_grid(self):
-        assert BatchRunner(workers=2).run_cells([]) == []
+        assert BatchRunner(ProcessBackend(2)).run_cells([]) == []
 
     def test_pool_is_reused_across_batches_and_closeable(self, task):
         job = CellJob(
             task=task, policy_factory=partial(PoissonArrivalPolicy, 1.0),
             reps=30, seed=2,
         )
-        with BatchRunner(workers=2) as runner:
+        with BatchRunner(ProcessBackend(2)) as runner:
             first = runner.run_cell(job)
             pool = runner.backend._pool
             second = runner.run_cell(job)
@@ -245,8 +243,8 @@ class TestFallbacks:
         assert runner.run_cell(job).same_values(first)
 
     def test_serial_constructor(self):
-        runner = BatchRunner.serial()
-        assert runner.workers == 1
+        runner = BatchRunner()
+        assert runner.backend.workers == 1
         assert runner.backend.name == "serial"
         assert runner.block_size == DEFAULT_BLOCK_SIZE
 
@@ -258,8 +256,8 @@ class TestFallbacks:
             task=task, policy_factory=partial(PoissonArrivalPolicy, 1.0),
             reps=30, seed=4,
         )
-        runner = BatchRunner(workers=2, chunk_size=10)
-        expected = BatchRunner.serial(chunk_size=10).run_cell(job)
+        runner = BatchRunner(ProcessBackend(2), chunk_size=10)
+        expected = BatchRunner(chunk_size=10).run_cell(job)
         pool = runner.backend._ensure_pool()
         pool.submit(int, 0).result()  # spin the workers up
         for process in pool._processes.values():
@@ -269,18 +267,17 @@ class TestFallbacks:
         assert runner.backend._pool is not pool
         assert runner.run_cell(job).same_values(expected)
 
-    def test_workers_none_means_cpu_count(self):
-        assert BatchRunner(workers=None).workers == default_workers()
-
 
 class TestValidation:
-    def test_bad_workers(self):
-        with pytest.raises(ParameterError):
-            BatchRunner(workers=0)
-
     def test_bad_chunk_size(self):
         with pytest.raises(ParameterError):
-            BatchRunner(workers=1, chunk_size=0)
+            BatchRunner(chunk_size=0)
+
+    @pytest.mark.parametrize("bad", [4, "process"])
+    def test_backend_must_be_a_backend(self, bad):
+        # Worker counts and backend names are ExecutionSettings options.
+        with pytest.raises(ParameterError, match="ExecutionBackend"):
+            BatchRunner(bad)
 
     def test_bad_reps(self, task):
         with pytest.raises(ParameterError):

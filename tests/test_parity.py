@@ -70,7 +70,7 @@ def _half_width(low: float, high: float) -> float:
 
 
 def _analytic(task, policy_factory, reps):
-    return BatchRunner.serial().run_cell(
+    return BatchRunner().run_cell(
         AnalyticCellJob(task=task, policy_factory=policy_factory, reps=reps)
     )
 
@@ -143,7 +143,7 @@ class TestFaultFreeParity:
         assert job.schedule().interval_lengths == [
             pytest.approx(task.cycles / frequency)
         ]
-        fast = BatchRunner.serial().run_cell(job)
+        fast = BatchRunner().run_cell(job)
         slow = estimate(
             task, partial(PoissonArrivalPolicy, frequency), reps=5, seed=0
         )
