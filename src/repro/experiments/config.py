@@ -38,6 +38,7 @@ from repro.sim.backends import (
     ProcessBackend,
     SerialBackend,
     default_workers,
+    require_count,
 )
 from repro.sim.task import TaskSpec
 
@@ -139,26 +140,13 @@ class ExecutionSettings:
                 f"unknown backend {self.backend!r}; valid names: "
                 f"{', '.join(BACKEND_NAMES)}"
             )
-        for name in ("workers", "chunk_size", "cluster_workers"):
+        # workers=0 is one per CPU; cluster_workers=0 is no local cluster.
+        for name, minimum in (
+            ("workers", 0), ("chunk_size", 1), ("cluster_workers", 0)
+        ):
             value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-        if self.workers is not None and self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.cluster_workers < 0:
-            raise ConfigurationError(
-                f"cluster_workers must be >= 0, got {self.cluster_workers}"
-            )
+            if value is not None:
+                require_count(name, value, minimum, ConfigurationError)
         if self.backend == "serial" and self.workers not in (None, 1):
             raise ConfigurationError(
                 "backend 'serial' runs in-process; drop --workers or use "

@@ -108,6 +108,21 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def require_count(
+    name: str, value: int, minimum: int, error: type = ParameterError
+) -> int:
+    """``value`` if it is an int >= ``minimum``; otherwise raise ``error``.
+
+    Floats and bools are refused, not truncated: a count sizes a pool or
+    a block, and ``int(100.7)`` would run a different study.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CellJob:
     """One event-executor Monte-Carlo cell, described enough to ship.
@@ -438,9 +453,7 @@ class ProcessBackend:
     name = "process"
 
     def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
+        self.workers = require_count("workers", workers, 1)
         self.dispatch_stats = DispatchStats()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None

@@ -89,6 +89,7 @@ from repro.sim.backends import (
     dispatch_kind,
     execute_block,
     partition_shippable,
+    require_count,
 )
 from repro.sim.montecarlo import CellAccumulator
 
@@ -1078,8 +1079,7 @@ class LocalCluster:
         tls: Optional[TLSConfig] = None,
         delay: Union[None, float, Sequence[Optional[float]]] = None,
     ) -> None:
-        if workers < 0:
-            raise ParameterError(f"workers must be >= 0, got {workers}")
+        self.size = require_count("workers", workers, 0)
         if max_respawns < 0:
             raise ParameterError(
                 f"max_respawns must be >= 0, got {max_respawns}"
@@ -1088,7 +1088,6 @@ class LocalCluster:
             raise ParameterError(
                 f"respawn_poll must be > 0, got {respawn_poll}"
             )
-        self.size = int(workers)
         self.idle_timeout = float(idle_timeout)
         if max_tasks is None or isinstance(max_tasks, int):
             self.max_tasks: List[Optional[int]] = [max_tasks] * self.size

@@ -55,6 +55,7 @@ from repro.sim.backends import (
     ExecutionBackend,
     SerialBackend,
     plan_blocks,
+    require_count,
 )
 from repro.sim.montecarlo import CellAccumulator, CellEstimate
 
@@ -99,9 +100,9 @@ class BatchRunner:
         *,
         chunk_size: Optional[int] = None,
     ) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.block_size = int(chunk_size) if chunk_size else DEFAULT_BLOCK_SIZE
+        if chunk_size is None:
+            chunk_size = DEFAULT_BLOCK_SIZE
+        self.block_size = require_count("chunk_size", chunk_size, 1)
         if backend is None:
             backend = SerialBackend()
         elif not isinstance(backend, ExecutionBackend):

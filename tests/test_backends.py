@@ -117,6 +117,11 @@ class TestProtocolConformance:
         with pytest.raises(ParameterError):
             ProcessBackend(0)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_process_backend_rejects_non_integer_workers(self, bad):
+        with pytest.raises(ParameterError, match="integer"):
+            ProcessBackend(bad)
+
 
 class TestDistributedSurface:
     """The off-host contract's local half (the socket transport itself

@@ -164,6 +164,11 @@ class TestLocalCluster:
         with pytest.raises(ParameterError):
             LocalCluster(-1)
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_rejects_non_integer_worker_count(self, bad):
+        with pytest.raises(ParameterError, match="integer"):
+            LocalCluster(bad)
+
     def test_validates_max_tasks_length(self):
         with pytest.raises(ParameterError):
             LocalCluster(2, max_tasks=(1,))

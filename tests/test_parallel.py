@@ -273,6 +273,13 @@ class TestValidation:
         with pytest.raises(ParameterError):
             BatchRunner(chunk_size=0)
 
+    @pytest.mark.parametrize("bad", [100.7, 32.0, True])
+    def test_non_integer_chunk_size_rejected(self, bad):
+        # The block size fixes the reduction tree: 100.7 truncated to
+        # 100 would run a different study from the one named.
+        with pytest.raises(ParameterError, match="integer"):
+            BatchRunner(chunk_size=bad)
+
     @pytest.mark.parametrize("bad", [4, "process"])
     def test_backend_must_be_a_backend(self, bad):
         # Worker counts and backend names are ExecutionSettings options.
