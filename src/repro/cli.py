@@ -45,7 +45,7 @@ from typing import List, Optional
 
 from repro.choices import BACKEND_NAMES, KERNEL_NAMES, KIND_SUMMARIES, STUDY_KINDS
 from repro.errors import ReproError
-from repro.experiments.paper_data import TABLE_IDS, TABLE_TITLES
+from repro.experiments.paper_data import COLUMNS, TABLE_IDS, TABLE_TITLES
 
 __all__ = ["main", "build_parser"]
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument(
         "--scheme",
         default="A_D_S",
-        choices=["Poisson", "k-f-t", "A_D", "A_D_S", "A_D_C"],
+        choices=list(dict.fromkeys(COLUMNS["scp"] + COLUMNS["ccp"])),
     )
     p_demo.add_argument("--utilization", type=float, default=0.8)
     p_demo.add_argument("--lam", type=float, default=1.4e-3)
@@ -692,26 +692,6 @@ def _table_result_from(study, results):
     )
 
 
-def _demo_policy(scheme: str):
-    from repro.core.schemes import (
-        AdaptiveCCPPolicy,
-        AdaptiveDVSPolicy,
-        AdaptiveSCPPolicy,
-        KFaultTolerantPolicy,
-        PoissonArrivalPolicy,
-    )
-
-    if scheme == "Poisson":
-        return PoissonArrivalPolicy(1.0)
-    if scheme == "k-f-t":
-        return KFaultTolerantPolicy(1.0)
-    if scheme == "A_D":
-        return AdaptiveDVSPolicy()
-    if scheme == "A_D_C":
-        return AdaptiveCCPPolicy()
-    return AdaptiveSCPPolicy()
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     from repro.api import Study, StudySpec
     from repro.experiments.report import format_table, markdown_table
@@ -790,6 +770,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.checkpoints import CostModel
+    from repro.core.schemes import scheme_factory
     from repro.sim.energy import EnergyModel
     from repro.sim.executor import simulate_run
     from repro.sim.faults import PoissonFaults
@@ -812,7 +793,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     trace = Trace()
     result = simulate_run(
         task,
-        _demo_policy(args.scheme),
+        scheme_factory(args.scheme)(),
         PoissonFaults(task.fault_rate),
         EnergyModel.paper_dmr(),
         RandomSource(args.seed).generator(),
@@ -862,7 +843,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     table=args.table,
                     reps=args.reps,
                     seed=args.seed,
-                    ms=(1, 2, 4, 8, 16),
                 )
             )
         results, _reused = _run_study(args, study)

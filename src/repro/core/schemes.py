@@ -28,7 +28,8 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Dict, Optional, Type
 
 from repro.core import optimizer
 from repro.core.checkpoints import CheckpointKind
@@ -38,7 +39,7 @@ from repro.core.intervals import (
     k_fault_interval,
     poisson_interval,
 )
-from repro.errors import ParameterError
+from repro.errors import ConfigurationError, ParameterError
 from repro.sim.state import ExecutionState
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
     "AdaptiveConfig",
     "ReplanTable",
     "replan_table_for",
+    "SCHEMES",
+    "scheme_factory",
 ]
 
 #: Deadline floor used when replanning a run that has already overshot
@@ -607,3 +610,32 @@ class AdaptiveCCPPolicy(_AdaptiveBase):
 
     def _sub_kind(self) -> CheckpointKind:
         return CheckpointKind.CCP
+
+
+#: The five schemes by paper name, the one map from a column header to
+#: its policy class.
+SCHEMES: Dict[str, Type[CheckpointPolicy]] = {
+    cls.name: cls
+    for cls in (PoissonArrivalPolicy, KFaultTolerantPolicy,
+                AdaptiveDVSPolicy, AdaptiveSCPPolicy, AdaptiveCCPPolicy)
+}
+
+
+def scheme_factory(
+    name: str,
+    *,
+    frequency: float = 1.0,
+    config: Optional[AdaptiveConfig] = None,
+) -> Callable[[], CheckpointPolicy]:
+    """Fresh-policy factory for scheme ``name``: a static scheme at
+    ``frequency``, an adaptive one with ``config`` (``None``: the
+    default).  A :func:`functools.partial` over the module-level class,
+    so it pickles to workers and has a content identity."""
+    cls = SCHEMES.get(name)
+    if cls is None:
+        raise ConfigurationError(
+            f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}"
+        )
+    if issubclass(cls, _StaticPolicy):
+        return partial(cls, frequency)
+    return partial(cls, config)

@@ -2,7 +2,8 @@
 
 Every error raised deliberately by the library derives from
 :class:`ReproError`, so callers can catch library failures without
-accidentally swallowing genuine programming errors.
+accidentally swallowing genuine programming errors.  :func:`require_count`
+is the one rule for what a count (reps, seed, block size, workers) is.
 """
 
 from __future__ import annotations
@@ -48,3 +49,19 @@ class ServiceUnavailableError(ReproError):
     resubmitting is always safe because study submissions are
     idempotent (content-addressed cell cache, deterministic results).
     """
+
+
+def require_count(
+    name: str, value: int, minimum: int, error: type = ParameterError
+) -> int:
+    """``value`` if it is an int >= ``minimum``; otherwise raise ``error``.
+
+    Floats and bools are refused, not truncated: a count sizes a pool or
+    a block, seeds a study or sets its rep count, and ``int(100.7)``
+    would run a different study.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -15,21 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoints import CostModel
 from repro.core.schemes import (
-    AdaptiveCCPPolicy,
+    SCHEMES,
     AdaptiveConfig,
-    AdaptiveDVSPolicy,
-    AdaptiveSCPPolicy,
     CheckpointPolicy,
-    KFaultTolerantPolicy,
-    PoissonArrivalPolicy,
+    _StaticPolicy,
+    scheme_factory,
 )
 from repro.choices import BACKEND_NAMES, KERNEL_NAMES
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.experiments import paper_data
 from repro.sim.backends import (
     AnalyticCellJob,
@@ -38,7 +35,6 @@ from repro.sim.backends import (
     ProcessBackend,
     SerialBackend,
     default_workers,
-    require_count,
 )
 from repro.sim.task import TaskSpec
 
@@ -275,7 +271,12 @@ class ExecutionSettings:
 
 @dataclass(frozen=True)
 class TableSpec:
-    """Declarative description of one table of the evaluation."""
+    """Declarative description of one table of the evaluation.
+
+    The eight published specs (:func:`table_spec`) are built from
+    :data:`~repro.experiments.paper_data.TABLE_DESIGN`, with the
+    published (U, λ) rows and the variant's cost model.
+    """
 
     table_id: str
     title: str
@@ -289,7 +290,7 @@ class TableSpec:
     adaptive_config: AdaptiveConfig = field(default_factory=AdaptiveConfig)
 
     def __post_init__(self) -> None:
-        if self.adaptive_variant not in ("scp", "ccp"):
+        if self.adaptive_variant not in paper_data.COLUMNS:
             raise ConfigurationError(
                 f"adaptive_variant must be 'scp' or 'ccp', got "
                 f"{self.adaptive_variant!r}"
@@ -298,8 +299,7 @@ class TableSpec:
     @property
     def schemes(self) -> Tuple[str, ...]:
         """Column order, matching the paper."""
-        last = "A_D_S" if self.adaptive_variant == "scp" else "A_D_C"
-        return ("Poisson", "k-f-t", "A_D", last)
+        return paper_data.COLUMNS[self.adaptive_variant]
 
     def task(self, u: float, lam: float) -> TaskSpec:
         """The task of row (U, λ): ``N = U·f_ref·D`` cycles."""
@@ -313,23 +313,12 @@ class TableSpec:
         )
 
     def policy_factory(self, scheme: str) -> Callable[[], CheckpointPolicy]:
-        """Fresh-policy factory for a scheme column.
-
-        Factories are :func:`functools.partial` objects over module-level
-        policy classes — picklable, so whole cell grids can ship to the
-        worker processes of :class:`repro.sim.parallel.BatchRunner`.
-        """
-        if scheme == "Poisson":
-            return partial(PoissonArrivalPolicy, self.static_frequency)
-        if scheme == "k-f-t":
-            return partial(KFaultTolerantPolicy, self.static_frequency)
-        if scheme == "A_D":
-            return partial(AdaptiveDVSPolicy, self.adaptive_config)
-        if scheme == "A_D_S":
-            return partial(AdaptiveSCPPolicy, self.adaptive_config)
-        if scheme == "A_D_C":
-            return partial(AdaptiveCCPPolicy, self.adaptive_config)
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
+        """Fresh-policy factory for a scheme column (picklable, see
+        :func:`~repro.core.schemes.scheme_factory`)."""
+        return scheme_factory(
+            scheme, frequency=self.static_frequency,
+            config=self.adaptive_config,
+        )
 
     def cell_job(
         self,
@@ -352,7 +341,7 @@ class TableSpec:
         """
         task = self.task(u, lam)
         factory = self.policy_factory(scheme)
-        if fast_static and scheme in ("Poisson", "k-f-t"):
+        if fast_static and issubclass(SCHEMES[scheme], _StaticPolicy):
             if faults_during_overhead:
                 raise ConfigurationError(
                     "fast_static assumes the paper's convention that faults "
@@ -375,106 +364,22 @@ class TableSpec:
         return replace(self, adaptive_config=config)
 
 
-def _rows_a() -> Tuple[Tuple[float, float], ...]:
-    return tuple(
-        (u, lam) for u in (0.76, 0.78, 0.80, 0.82) for lam in (1.4e-3, 1.6e-3)
-    )
-
-
-def _rows_b_f1() -> Tuple[Tuple[float, float], ...]:
-    return tuple((u, lam) for u in (0.92, 0.95, 1.00) for lam in (1e-4, 2e-4))
-
-
-def _rows_b_f2() -> Tuple[Tuple[float, float], ...]:
-    return tuple((u, lam) for u in (0.92, 0.95) for lam in (1e-4, 2e-4))
-
-
 def _build_specs() -> Dict[str, TableSpec]:
-    scp_costs = CostModel.scp_favourable()
-    ccp_costs = CostModel.ccp_favourable()
-    specs = [
-        TableSpec(
-            table_id="1a",
-            title=paper_data.TABLE_TITLES["1a"],
-            costs=scp_costs,
-            fault_budget=5,
-            static_frequency=1.0,
-            reference_frequency=1.0,
-            rows=_rows_a(),
-            adaptive_variant="scp",
-        ),
-        TableSpec(
-            table_id="1b",
-            title=paper_data.TABLE_TITLES["1b"],
-            costs=scp_costs,
-            fault_budget=1,
-            static_frequency=1.0,
-            reference_frequency=1.0,
-            rows=_rows_b_f1(),
-            adaptive_variant="scp",
-        ),
-        TableSpec(
-            table_id="2a",
-            title=paper_data.TABLE_TITLES["2a"],
-            costs=scp_costs,
-            fault_budget=5,
-            static_frequency=2.0,
-            reference_frequency=2.0,
-            rows=_rows_a(),
-            adaptive_variant="scp",
-        ),
-        TableSpec(
-            table_id="2b",
-            title=paper_data.TABLE_TITLES["2b"],
-            costs=scp_costs,
-            fault_budget=1,
-            static_frequency=2.0,
-            reference_frequency=2.0,
-            rows=_rows_b_f2(),
-            adaptive_variant="scp",
-        ),
-        TableSpec(
-            table_id="3a",
-            title=paper_data.TABLE_TITLES["3a"],
-            costs=ccp_costs,
-            fault_budget=5,
-            static_frequency=1.0,
-            reference_frequency=1.0,
-            rows=_rows_a(),
-            adaptive_variant="ccp",
-        ),
-        TableSpec(
-            table_id="3b",
-            title=paper_data.TABLE_TITLES["3b"],
-            costs=ccp_costs,
-            fault_budget=1,
-            static_frequency=1.0,
-            reference_frequency=1.0,
-            rows=_rows_b_f1(),
-            adaptive_variant="ccp",
-        ),
-        TableSpec(
-            table_id="4a",
-            title=paper_data.TABLE_TITLES["4a"],
-            costs=ccp_costs,
-            fault_budget=5,
-            static_frequency=2.0,
-            reference_frequency=2.0,
-            rows=_rows_a(),
-            adaptive_variant="ccp",
-        ),
-        TableSpec(
-            table_id="4b",
-            title=paper_data.TABLE_TITLES["4b"],
-            costs=ccp_costs,
-            fault_budget=1,
-            static_frequency=2.0,
-            reference_frequency=2.0,
-            rows=_rows_b_f2(),
-            adaptive_variant="ccp",
-        ),
-    ]
-    return {spec.table_id: spec for spec in specs}
+    scp, ccp = CostModel.scp_favourable(), CostModel.ccp_favourable()
+    costs = {"scp": scp, "ccp": ccp}
+    return {
+        table_id: TableSpec(
+            table_id=table_id,
+            title=paper_data.TABLE_TITLES[table_id],
+            costs=costs[variant],
+            fault_budget=k,
+            static_frequency=speed,
+            reference_frequency=speed,
+            rows=tuple(paper_data.paper_rows(table_id)),
+            adaptive_variant=variant,
+        )
+        for table_id, (variant, speed, k) in paper_data.TABLE_DESIGN.items()
+    }
 
 
 _SPECS = _build_specs()

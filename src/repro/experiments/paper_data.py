@@ -1,8 +1,13 @@
-"""The published results of the paper's tables 1-4, transcribed.
+"""The paper's tables 1-4: their design and published results.
 
 Each cell of the paper reports ``P`` (probability of timely completion)
 over ``E`` (energy of timely runs, NaN when ``P = 0``) for four schemes.
 Values are transcribed verbatim from the DATE 2006 text.
+
+It is also the one statement of each table's design: :data:`TABLE_DESIGN`,
+:data:`COLUMNS` and the published (U, λ) rows, from which the titles
+and the eight :class:`~repro.experiments.config.TableSpec`\\ s are built.
+Stdlib-only, so ``repro list`` and ``--help`` load no numpy.
 
 Note on column naming: the headers of tables 3 and 4 in the paper still
 read "A_D_S", but §4.2 makes clear those tables evaluate
@@ -26,30 +31,43 @@ __all__ = [
     "paper_cell",
     "paper_rows",
     "paper_schemes",
+    "COLUMNS",
+    "TABLE_DESIGN",
     "TABLE_IDS",
     "TABLE_TITLES",
 ]
 
 NAN = math.nan
 
-TABLE_IDS = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b")
+#: Each table's design (paper §4): the adaptive variant (``"scp"``:
+#: ``A_D_S``, SCP-favourable costs; ``"ccp"``: ``A_D_C``, CCP-favourable
+#: costs), the static baselines' speed (also U's reference speed), ``k``.
+TABLE_DESIGN: Dict[str, Tuple[str, float, int]] = {
+    "1a": ("scp", 1.0, 5),
+    "1b": ("scp", 1.0, 1),
+    "2a": ("scp", 2.0, 5),
+    "2b": ("scp", 2.0, 1),
+    "3a": ("ccp", 1.0, 5),
+    "3b": ("ccp", 1.0, 1),
+    "4a": ("ccp", 2.0, 5),
+    "4b": ("ccp", 2.0, 1),
+}
+
+TABLE_IDS = tuple(TABLE_DESIGN)
+
+#: Scheme names in column order, per adaptive variant.
+COLUMNS = {
+    "scp": ("Poisson", "k-f-t", "A_D", "A_D_S"),
+    "ccp": ("Poisson", "k-f-t", "A_D", "A_D_C"),
+}
 
 #: One title per table (``repro list``, :class:`~repro.experiments.
 #: config.TableSpec`): the adaptive scheme, the baselines' speed, ``k``.
 TABLE_TITLES = {
-    "1a": "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=5 (paper Tab. 1a)",
-    "1b": "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=1 (paper Tab. 1b)",
-    "2a": "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=5 (paper Tab. 2a)",
-    "2b": "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=1 (paper Tab. 2b)",
-    "3a": "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=5 (paper Tab. 3a)",
-    "3b": "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=1 (paper Tab. 3b)",
-    "4a": "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=5 (paper Tab. 4a)",
-    "4b": "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=1 (paper Tab. 4b)",
+    table_id: f"adapchp-dvs-{variant.upper()}s vs baselines; static "
+    f"schemes at f{speed:g}; k={k} (paper Tab. {table_id})"
+    for table_id, (variant, speed, k) in TABLE_DESIGN.items()
 }
-
-#: Schemes in column order, per table family.
-_SCP_SCHEMES = ("Poisson", "k-f-t", "A_D", "A_D_S")
-_CCP_SCHEMES = ("Poisson", "k-f-t", "A_D", "A_D_C")
 
 # (u, lam) -> ((P, E) per scheme in column order)
 _Row = Tuple[Tuple[float, float], ...]
@@ -145,7 +163,7 @@ class PaperCell:
 def paper_schemes(table_id: str) -> Tuple[str, ...]:
     """Column order of a table ('A_D_S' family vs 'A_D_C' family)."""
     _check_table(table_id)
-    return _SCP_SCHEMES if table_id[0] in "12" else _CCP_SCHEMES
+    return COLUMNS[TABLE_DESIGN[table_id][0]]
 
 
 def paper_rows(table_id: str) -> List[Tuple[float, float]]:

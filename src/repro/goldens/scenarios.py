@@ -17,19 +17,12 @@ enough to diff by eye.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.checkpoints import CostModel
-from repro.core.schemes import (
-    AdaptiveCCPPolicy,
-    AdaptiveDVSPolicy,
-    AdaptiveSCPPolicy,
-    CheckpointPolicy,
-    KFaultTolerantPolicy,
-    PoissonArrivalPolicy,
-)
+from repro.core.schemes import CheckpointPolicy, scheme_factory
 from repro.errors import ConfigurationError
 from repro.sim.faults import (
     BurstyFaults,
@@ -49,19 +42,6 @@ __all__ = [
     "scenario_names",
 ]
 
-_SCHEMES: Dict[str, Callable[..., CheckpointPolicy]] = {
-    "Poisson": PoissonArrivalPolicy,
-    "k-f-t": KFaultTolerantPolicy,
-    "A_D": AdaptiveDVSPolicy,
-    "A_D_S": AdaptiveSCPPolicy,
-    "A_D_C": AdaptiveCCPPolicy,
-}
-
-#: Static (non-DVS) schemes take the execution frequency; adaptive
-#: schemes take their (default) AdaptiveConfig.
-_STATIC_SCHEMES = ("Poisson", "k-f-t")
-
-
 @dataclass(frozen=True)
 class GoldenScenario:
     """One fully-pinned reference run."""
@@ -75,17 +55,13 @@ class GoldenScenario:
     faults_during_overhead: bool = False
 
     def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ConfigurationError(
-                f"unknown scheme {self.scheme!r}; valid: "
-                f"{', '.join(_SCHEMES)}"
-            )
+        scheme_factory(self.scheme)  # refuses an unknown scheme
 
     def build_policy(self) -> CheckpointPolicy:
-        """A fresh policy instance (policies cache their plan)."""
-        if self.scheme in _STATIC_SCHEMES:
-            return _SCHEMES[self.scheme](self.static_frequency)
-        return _SCHEMES[self.scheme]()
+        """A fresh policy instance (policies cache their plan): a static
+        scheme at :attr:`static_frequency`, an adaptive one with the
+        default :class:`~repro.core.schemes.AdaptiveConfig`."""
+        return scheme_factory(self.scheme, frequency=self.static_frequency)()
 
     def generator(self) -> np.random.Generator:
         """The run's fault-stream generator, derived from the seed."""

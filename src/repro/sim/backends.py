@@ -63,7 +63,7 @@ from typing import (
 
 from repro.choices import BACKEND_NAMES, KERNEL_NAMES
 from repro.core.analysis import StaticSchedule, static_outcome, static_schedule
-from repro.errors import ParameterError, SimulationError
+from repro.errors import ParameterError, SimulationError, require_count
 from repro.sim.energy import EnergyModel
 from repro.sim.executor import SimulationLimits, default_energy_model
 from repro.sim.faults import FaultProcess
@@ -108,21 +108,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def require_count(
-    name: str, value: int, minimum: int, error: type = ParameterError
-) -> int:
-    """``value`` if it is an int >= ``minimum``; otherwise raise ``error``.
-
-    Floats and bools are refused, not truncated: a count sizes a pool or
-    a block, and ``int(100.7)`` would run a different study.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class CellJob:
     """One event-executor Monte-Carlo cell, described enough to ship.
@@ -144,8 +129,8 @@ class CellJob:
     kernel: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.reps <= 0:
-            raise ParameterError(f"reps must be > 0, got {self.reps}")
+        require_count("reps", self.reps, 1)
+        require_count("seed", self.seed, 0)
         if self.kernel not in KERNEL_NAMES:
             raise ParameterError(
                 f"kernel must be 'exact' or 'fast', got {self.kernel!r}"
@@ -222,8 +207,8 @@ class AnalyticCellJob:
     def __post_init__(self) -> None:
         from repro.core.schemes import _StaticPolicy
 
-        if self.reps <= 0:
-            raise ParameterError(f"reps must be > 0, got {self.reps}")
+        require_count("reps", self.reps, 1)
+        require_count("seed", self.seed, 0)
         if not isinstance(self.policy_factory(), _StaticPolicy):
             raise ParameterError(
                 "an analytic cell needs a static policy (one fixed "

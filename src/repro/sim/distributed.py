@@ -82,14 +82,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import ConfigurationError, ParameterError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    ParameterError,
+    SimulationError,
+    require_count,
+)
 from repro.sim.backends import (
     BlockTask,
     DispatchStats,
     dispatch_kind,
     execute_block,
     partition_shippable,
-    require_count,
 )
 from repro.sim.montecarlo import CellAccumulator
 

@@ -49,13 +49,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_count
 from repro.sim.backends import (
     CellJob,
     ExecutionBackend,
     SerialBackend,
     plan_blocks,
-    require_count,
 )
 from repro.sim.montecarlo import CellAccumulator, CellEstimate
 

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_count
 from repro.rts.feasibility import (
     edf_feasible,
     fault_tolerant_wcet,
@@ -201,8 +201,8 @@ class TasksetCellJob:
             raise ParameterError(
                 f"policy must be 'edf' or 'rm', got {self.policy!r}"
             )
-        if self.reps <= 0:
-            raise ParameterError(f"reps must be > 0, got {self.reps}")
+        require_count("reps", self.reps, 1)
+        require_count("seed", self.seed, 0)
         if not self.frequencies or any(f <= 0 for f in self.frequencies):
             raise ParameterError(
                 f"frequencies must be a non-empty tuple of positive "

@@ -16,6 +16,7 @@ from repro.core.checkpoints import CostModel
 from repro.core.schemes import PoissonArrivalPolicy
 from repro.errors import ParameterError
 from repro.sim.backends import (
+    AnalyticCellJob,
     BlockTask,
     CellJob,
     DistributedBackend,
@@ -81,6 +82,21 @@ class TestPlanning:
         tasks = plan_blocks(jobs, 25)
         order = [(t.job_index, t.block) for t in tasks]
         assert order == sorted(order)
+
+
+class TestJobCounts:
+    @pytest.mark.parametrize("job_type", [CellJob, AnalyticCellJob])
+    @pytest.mark.parametrize(
+        "reps, seed", [(2.5, 0), (True, 0), (8, 2.5), (8, True), (8, -1)]
+    )
+    def test_non_integer_reps_and_seed_rejected(self, task, job_type, reps, seed):
+        with pytest.raises(ParameterError, match="reps|seed"):
+            job_type(
+                task=task,
+                policy_factory=partial(PoissonArrivalPolicy, 1.0),
+                reps=reps,
+                seed=seed,
+            )
 
 
 class TestProtocolConformance:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.checkpoints import CostModel
 from repro.core.schemes import (
+    SCHEMES,
     AdaptiveCCPPolicy,
     AdaptiveConfig,
     AdaptiveDVSPolicy,
@@ -12,7 +14,7 @@ from repro.core.schemes import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.config import DEADLINE, all_table_specs, table_spec
-from repro.experiments.paper_data import TABLE_IDS, paper_rows
+from repro.experiments.paper_data import COLUMNS, TABLE_IDS, paper_rows
 
 
 class TestTableSpecs:
@@ -50,6 +52,42 @@ class TestTableSpecs:
     def test_scheme_columns(self):
         assert table_spec("1a").schemes == ("Poisson", "k-f-t", "A_D", "A_D_S")
         assert table_spec("3a").schemes == ("Poisson", "k-f-t", "A_D", "A_D_C")
+
+    @pytest.mark.parametrize(
+        "table_id, variant, speed, k, title",
+        [
+            ("1a", "scp", 1.0, 5, "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=5 (paper Tab. 1a)"),
+            ("1b", "scp", 1.0, 1, "adapchp-dvs-SCPs vs baselines; static schemes at f1; k=1 (paper Tab. 1b)"),
+            ("2a", "scp", 2.0, 5, "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=5 (paper Tab. 2a)"),
+            ("2b", "scp", 2.0, 1, "adapchp-dvs-SCPs vs baselines; static schemes at f2; k=1 (paper Tab. 2b)"),
+            ("3a", "ccp", 1.0, 5, "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=5 (paper Tab. 3a)"),
+            ("3b", "ccp", 1.0, 1, "adapchp-dvs-CCPs vs baselines; static schemes at f1; k=1 (paper Tab. 3b)"),
+            ("4a", "ccp", 2.0, 5, "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=5 (paper Tab. 4a)"),
+            ("4b", "ccp", 2.0, 1, "adapchp-dvs-CCPs vs baselines; static schemes at f2; k=1 (paper Tab. 4b)"),
+        ],
+    )
+    def test_published_design(self, table_id, variant, speed, k, title):
+        # The whole design of every published table, spelled out here
+        # rather than read from paper_data.
+        spec = table_spec(table_id)
+        assert spec.adaptive_variant == variant
+        # repr, so that an int speed (which would change every static
+        # cell's identity) fails too.
+        assert repr(
+            (spec.static_frequency, spec.reference_frequency, spec.fault_budget)
+        ) == repr((speed, speed, k))
+        if variant == "scp":
+            costs, proposed = CostModel.scp_favourable(), "A_D_S"
+        else:
+            costs, proposed = CostModel.ccp_favourable(), "A_D_C"
+        assert spec.costs == costs
+        assert spec.schemes == ("Poisson", "k-f-t", "A_D", proposed)
+        assert spec.title == title
+
+    def test_scheme_map_holds_exactly_the_column_names(self):
+        # `repro demo --scheme` offers the COLUMNS names (no numpy at
+        # parse time) and builds them through SCHEMES.
+        assert set(SCHEMES) == {name for names in COLUMNS.values() for name in names}
 
     def test_task_cycles_use_reference_frequency(self):
         # Tables 1/3: N = U·f1·D; tables 2/4: N = U·f2·D.

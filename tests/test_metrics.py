@@ -252,6 +252,34 @@ class TestMomentNumerics:
         assert math.isnan(MomentAccumulator([3.0]).variance)
 
 
+class TestMomentMemory:
+    """A blocked reduce holds one block's temporaries, never the values."""
+
+    @staticmethod
+    def _peak_bytes(size, block=256):
+        import tracemalloc
+
+        values = np.random.default_rng(2006).normal(40_000.0, 500.0, size)
+        tracemalloc.start()
+        try:
+            total = MomentAccumulator()
+            for start in range(0, size, block):
+                total.merge(
+                    MomentAccumulator().add_many(values[start:start + block])
+                )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_blocked_reduce_peak_is_bounded_by_the_block(self):
+        # Ten times the values may not raise the peak (~36 KB either
+        # way); keeping the 20,000 floats would take 160 KB as an array
+        # and ~800 KB as a list.
+        small, large = self._peak_bytes(2_000), self._peak_bytes(20_000)
+        assert large <= 1.25 * small
+        assert large < 20_000 * 8 / 2
+
+
 class TestVectorisedAddMany:
     """The NumPy block path of add_many is bit-identical to scalar add."""
 

@@ -71,6 +71,15 @@ class TestEstimate:
         with pytest.raises(ParameterError):
             estimate(task, AdaptiveSCPPolicy, reps=0)
 
+    @pytest.mark.parametrize(
+        "reps, seed", [(2.5, 0), (True, 0), (40, 2.7), (40, True), (40, -1)]
+    )
+    def test_rejects_non_integer_reps_and_seed(self, task, reps, seed):
+        # Truncating would run another study: seed=2.7 would be seed 2's
+        # estimate and reps=True one rep.
+        with pytest.raises(ParameterError, match="reps|seed"):
+            estimate(task, AdaptiveSCPPolicy, reps=reps, seed=seed)
+
     def test_fields_populated(self, task):
         cell = estimate(task, AdaptiveSCPPolicy, reps=100, seed=5)
         assert 0.0 <= cell.p <= 1.0

@@ -9,6 +9,7 @@ from repro.core.dvs import SpeedLadder
 from repro.core.intervals import checkpoint_interval, k_fault_interval, poisson_interval
 from repro.core.optimizer import num_ccp, num_scp
 from repro.core.schemes import (
+    SCHEMES,
     AdaptiveCCPPolicy,
     AdaptiveConfig,
     AdaptiveDVSPolicy,
@@ -16,8 +17,9 @@ from repro.core.schemes import (
     KFaultTolerantPolicy,
     Plan,
     PoissonArrivalPolicy,
+    scheme_factory,
 )
-from repro.errors import ParameterError
+from repro.errors import ConfigurationError, ParameterError
 from repro.sim.state import ExecutionState
 from repro.sim.task import TaskSpec
 
@@ -260,3 +262,32 @@ class TestAdaptiveConfig:
             AdaptiveConfig(analysis_rate_factor=0.0)
         with pytest.raises(ParameterError):
             AdaptiveConfig(max_m=0)
+
+
+class TestSchemeFactory:
+    def test_names_are_the_paper_columns(self):
+        assert list(SCHEMES) == ["Poisson", "k-f-t", "A_D", "A_D_S", "A_D_C"]
+        for name, cls in SCHEMES.items():
+            assert cls.name == name
+
+    def test_static_schemes_take_the_frequency(self):
+        factory = scheme_factory("k-f-t", frequency=2.0)
+        assert (factory.func, factory.args) == (KFaultTolerantPolicy, (2.0,))
+        assert factory().frequency == 2.0
+
+    def test_adaptive_schemes_take_the_config(self):
+        config = AdaptiveConfig(analysis_rate_factor=2.0)
+        factory = scheme_factory("A_D_C", frequency=2.0, config=config)
+        assert (factory.func, factory.args) == (AdaptiveCCPPolicy, (config,))
+        assert scheme_factory("A_D")().config == AdaptiveConfig()
+
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_factories_pickle(self, name):
+        import pickle
+
+        policy = pickle.loads(pickle.dumps(scheme_factory(name)))()
+        assert type(policy) is SCHEMES[name]
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown scheme 'B_A_D'"):
+            scheme_factory("B_A_D")

@@ -290,6 +290,18 @@ class TestTasksetCellJob:
     def test_validation(self):
         with pytest.raises(ParameterError):
             self._job(reps=0)
+
+    @pytest.mark.parametrize(
+        "reps, seed", [(2.5, 17), (True, 17), (8, 2.5), (8, True), (8, -1)]
+    )
+    def test_non_integer_reps_and_seed_rejected(self, reps, seed):
+        with pytest.raises(ParameterError, match="reps|seed"):
+            TasksetCellJob(
+                params=WorkloadParams(pattern="light"),
+                horizon=4000.0,
+                reps=reps,
+                seed=seed,
+            )
         with pytest.raises(ParameterError):
             TasksetCellJob(
                 params=WorkloadParams(pattern="light"), horizon=0.0
