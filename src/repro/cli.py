@@ -778,17 +778,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.sim.task import TaskSpec
     from repro.sim.trace import Trace
 
-    costs = (
-        CostModel.ccp_favourable()
-        if args.scheme == "A_D_C"
-        else CostModel.scp_favourable()
-    )
+    # The first table family holding the scheme sets the costs (CCP: A_D_C).
+    variant = next(v for v, names in COLUMNS.items() if args.scheme in names)
     task = TaskSpec(
         cycles=args.utilization * 10_000,
         deadline=10_000,
         fault_budget=args.k,
         fault_rate=args.lam,
-        costs=costs,
+        costs=CostModel.favouring(variant),
     )
     trace = Trace()
     result = simulate_run(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ParameterError
+from repro.errors import ConfigurationError, ParameterError
 
 __all__ = ["CheckpointKind", "CostModel", "TimeCosts"]
 
@@ -109,6 +109,15 @@ class CostModel:
     def ccp_favourable(cls) -> "CostModel":
         """Paper §4.2 parameters: cheap compares (``t_s=20, t_cp=2``)."""
         return cls(store_cycles=20.0, compare_cycles=2.0, rollback_cycles=0.0)
+
+    @classmethod
+    def favouring(cls, variant: str) -> "CostModel":
+        """The costs of the ``'scp'`` (§4.1) or ``'ccp'`` (§4.2) tables."""
+        if variant == "scp":
+            return cls.scp_favourable()
+        if variant == "ccp":
+            return cls.ccp_favourable()
+        raise ConfigurationError(f"variant must be scp or ccp: {variant!r}")
 
 
 @dataclass(frozen=True)

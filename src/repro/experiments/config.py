@@ -365,13 +365,11 @@ class TableSpec:
 
 
 def _build_specs() -> Dict[str, TableSpec]:
-    scp, ccp = CostModel.scp_favourable(), CostModel.ccp_favourable()
-    costs = {"scp": scp, "ccp": ccp}
     return {
         table_id: TableSpec(
             table_id=table_id,
             title=paper_data.TABLE_TITLES[table_id],
-            costs=costs[variant],
+            costs=CostModel.favouring(variant),
             fault_budget=k,
             static_frequency=speed,
             reference_frequency=speed,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.checkpoints import CheckpointKind, CostModel
-from repro.errors import ParameterError
+from repro.errors import ConfigurationError, ParameterError
 
 
 class TestCheckpointKind:
@@ -37,6 +37,12 @@ class TestCostModel:
         assert costs.store_cycles == 20
         assert costs.compare_cycles == 2
         assert costs.checkpoint_cycles == 22
+
+    def test_favouring_picks_the_variant_tables_costs(self):
+        assert CostModel.favouring("scp") == CostModel.scp_favourable()
+        assert CostModel.favouring("ccp") == CostModel.ccp_favourable()
+        with pytest.raises(ConfigurationError, match="'cscp'"):
+            CostModel.favouring("cscp")
 
     def test_cycles_of_each_kind(self):
         costs = CostModel(store_cycles=3, compare_cycles=7)

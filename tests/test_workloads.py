@@ -290,6 +290,10 @@ class TestTasksetCellJob:
     def test_validation(self):
         with pytest.raises(ParameterError):
             self._job(reps=0)
+        with pytest.raises(ParameterError):
+            TasksetCellJob(
+                params=WorkloadParams(pattern="light"), horizon=0.0
+            )
 
     @pytest.mark.parametrize(
         "reps, seed", [(2.5, 17), (True, 17), (8, 2.5), (8, True), (8, -1)]
@@ -301,10 +305,6 @@ class TestTasksetCellJob:
                 horizon=4000.0,
                 reps=reps,
                 seed=seed,
-            )
-        with pytest.raises(ParameterError):
-            TasksetCellJob(
-                params=WorkloadParams(pattern="light"), horizon=0.0
             )
 
 
