@@ -572,11 +572,12 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "executor kernel: 'exact' (default) is the per-rep engine, "
-            "bit-identical run to run; 'fast' is the vectorised "
-            "block-deterministic engine — statistically equivalent, "
-            "roughly an order of magnitude faster, reproducible for a "
-            "fixed seed and --chunk-size but not bit-comparable to "
-            "exact results"
+            "bit-identical run to run; 'fast' runs the adaptive schemes "
+            "on the vectorised block-deterministic engine — "
+            "statistically equivalent, 1.4–3.1× faster at the default "
+            "--chunk-size, reproducible for a fixed seed and "
+            "--chunk-size but not bit-comparable to exact results "
+            "(static schemes run exact)"
         ),
     )
     parser.add_argument(

@@ -26,7 +26,6 @@ the recompute points of the paper's pseudocode (figs. 6/7 lines 2-4 and
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Optional, Type
@@ -51,8 +50,6 @@ __all__ = [
     "AdaptiveSCPPolicy",
     "AdaptiveCCPPolicy",
     "AdaptiveConfig",
-    "ReplanTable",
-    "replan_table_for",
     "SCHEMES",
     "scheme_factory",
 ]
@@ -364,201 +361,6 @@ class _AdaptiveBase(CheckpointPolicy):
     def _analysis_args(self, state: ExecutionState) -> dict:
         """Renewal-model arguments in time units at the current speed."""
         return self._cell.analysis[state.frequency]
-
-
-class ReplanTable:
-    """Quantised memo of an adaptive policy's per-fault replan decision.
-
-    The fast kernel's rung 2 (:mod:`repro.sim.kernel`): instead of
-    re-running ``_replan`` (the speed choice, ``checkpoint_interval``
-    plus the ``num_SCP``/``num_CCP`` renewal-model optimisation —
-    ~20 µs per ``num_CCP`` Brent search at table 3/4 parameters on a
-    2-vCPU Intel Xeon) at every detected fault, the
-    (remaining_cycles, deadline_left, faults_left) query is quantised
-    onto a ``resolution × resolution`` grid and the decision is
-    evaluated **at the bucket centre**, lazily, once per bucket.
-
-    Two properties make the memo safe to share:
-
-    * values are a pure function of the bucket, never of the query that
-      first filled it — so the fill *order* cannot change results, and
-      a table shared across blocks/workers stays deterministic;
-    * queries outside the grid (overshot deadline, out-of-range work)
-      bypass the memo and evaluate the policy at the exact query point
-      — the exactness fallback the design calls for.
-
-    Thread-safe: a process-shared table (see :func:`replan_table_for`)
-    can be hit from concurrent scheduler/service threads, and
-    :meth:`_eval` works by mutating one reusable
-    :class:`ExecutionState` (and the wrapped policy's own caches) — so
-    evaluations are serialised under a per-table lock.  Memo reads stay
-    lock-free: a racing double-fill computes the same pure-function row
-    twice, which is wasted work, never a wrong answer.
-
-    ``resolution=0`` disables quantisation entirely: every lookup is an
-    exact evaluation (the conformance-test mode — the kernel then
-    replans with arithmetic identical to the exact executor's).
-
-    This is a **fast-mode** component: the quantised decision is
-    statistically equivalent, not bit-identical, to the exact replan.
-    The exact executor never touches it.
-    """
-
-    __slots__ = (
-        "_policy",
-        "_task",
-        "_resolution",
-        "_state",
-        "_rc_step",
-        "_dl_step",
-        "_deadline",
-        "_cycles",
-        "_memo",
-        "_eval_lock",
-        "__weakref__",
-    )
-
-    #: Default grid resolution per axis (empirically: fine enough that
-    #: the statistical-equivalence suite holds with wide margin, coarse
-    #: enough that a cell's working set is a few thousand buckets).
-    DEFAULT_RESOLUTION = 512
-
-    def __init__(
-        self,
-        policy: CheckpointPolicy,
-        task,
-        *,
-        resolution: int = DEFAULT_RESOLUTION,
-    ) -> None:
-        if resolution < 0:
-            raise ParameterError(
-                f"resolution must be >= 0, got {resolution}"
-            )
-        self._policy = policy
-        self._task = task
-        self._resolution = resolution
-        self._state = ExecutionState.fresh(task)
-        self._deadline = task.deadline
-        self._cycles = task.cycles
-        if resolution:
-            self._rc_step = task.cycles / resolution
-            self._dl_step = task.deadline / resolution
-        else:
-            self._rc_step = 0.0
-            self._dl_step = 0.0
-        self._memo: dict = {}
-        self._eval_lock = threading.Lock()
-
-    @property
-    def resolution(self) -> int:
-        return self._resolution
-
-    @property
-    def entries(self) -> int:
-        """Memoised buckets so far (diagnostics)."""
-        return len(self._memo)
-
-    @property
-    def rc_step(self) -> float:
-        """Remaining-cycles bucket width (0.0 when resolution is 0)."""
-        return self._rc_step
-
-    @property
-    def dl_step(self) -> float:
-        """Deadline-left bucket width (0.0 when resolution is 0)."""
-        return self._dl_step
-
-    def lookup(
-        self, remaining_cycles: float, deadline_left: float, faults_left: float
-    ):
-        """``(frequency, interval_time, m)`` after a fault at this state."""
-        if (
-            self._resolution
-            and 0.0 < deadline_left <= self._deadline
-            and 0.0 < remaining_cycles <= self._cycles
-        ):
-            i = int(remaining_cycles / self._rc_step)
-            j = int(deadline_left / self._dl_step)
-            key = (i, j, faults_left)
-            row = self._memo.get(key)
-            if row is None:
-                row = self._eval(
-                    (i + 0.5) * self._rc_step,
-                    (j + 0.5) * self._dl_step,
-                    faults_left,
-                )
-                self._memo[key] = row
-            return row
-        # Off-table: evaluate at the exact query point.
-        return self._eval(remaining_cycles, deadline_left, faults_left)
-
-    def _eval(self, remaining_cycles: float, deadline_left: float,
-              faults_left: float):
-        with self._eval_lock:
-            state = self._state
-            state.remaining_cycles = remaining_cycles
-            state.clock = self._deadline - deadline_left
-            state.faults_left = faults_left
-            state.frequency = 1.0  # overwritten by _replan
-            policy = self._policy
-            policy.on_fault(state)
-            plan = policy.plan(state)
-            return (state.frequency, plan.interval_time, plan.m)
-
-
-#: Process-level shared replan tables, keyed by
-#: (scheme class, config, task, resolution); bounded by clearing.
-#: Shared only for classes whose constructor is exactly
-#: ``_AdaptiveBase.__init__`` (same soundness guard as _START_MEMO):
-#: a subclass with extra constructor state is not a pure function of
-#: the key.
-_REPLAN_TABLES: dict = {}
-
-#: Guards the registry's get/clear/insert sequence — concurrent
-#: scheduler threads must converge on ONE table per key, or the
-#: cross-block sharing the registry exists for silently degrades.
-_REPLAN_TABLES_LOCK = threading.Lock()
-
-
-def replan_table_for(
-    policy: CheckpointPolicy, task, *, resolution: int = ReplanTable.DEFAULT_RESOLUTION
-) -> Optional[ReplanTable]:
-    """A :class:`ReplanTable` for ``policy``, shared when that is sound.
-
-    Returns ``None`` for policies that never replan mid-run (the static
-    baselines — their plan is fixed at start) and for policy types the
-    table cannot model (anything that is not an :class:`_AdaptiveBase`).
-    Sharable adaptive policies (constructor is exactly the base's) get
-    the process-level memo — amortising bucket evaluations across every
-    block of every cell with the same (scheme, config, task); others
-    get a private table wrapped around the given instance.
-    """
-    if isinstance(policy, _StaticPolicy):
-        return None
-    if not isinstance(policy, _AdaptiveBase):
-        return None
-    if type(policy).__init__ is _AdaptiveBase.__init__:
-        key = (type(policy), policy.config, task, resolution)
-        try:
-            hash(key)
-        except TypeError:  # unhashable custom config
-            key = None
-        if key is not None:
-            with _REPLAN_TABLES_LOCK:
-                table = _REPLAN_TABLES.get(key)
-                if table is not None:
-                    return table
-                table = ReplanTable(
-                    type(policy)(policy.config), task, resolution=resolution
-                )
-                if len(_REPLAN_TABLES) > 64:
-                    _REPLAN_TABLES.clear()
-                _REPLAN_TABLES[key] = table
-                return table
-        return ReplanTable(
-            type(policy)(policy.config), task, resolution=resolution
-        )
-    return ReplanTable(policy, task, resolution=resolution)
 
 
 class AdaptiveDVSPolicy(_AdaptiveBase):

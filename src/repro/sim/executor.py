@@ -70,10 +70,10 @@ fails the perf-smoke job on a >2× regression.
 This module is the **exact** kernel: bit-identical run to run, across
 every backend and worker count, pinned by the golden-trace replay
 suite.  Its vectorised peer is :mod:`repro.sim.kernel` (the opt-in
-``kernel="fast"`` mode) — statistically equivalent and 2–5× faster
-at 1024–4096-rep blocks (slower on static and A_D cells at 64–84),
-but block- rather than rep-deterministic;
-scenarios it cannot vectorise fall back to this engine per block.
+``kernel="fast"`` mode) runs the adaptive schemes: statistically
+equivalent and 1.4–3.1× faster at the default 256-rep block, but
+block- rather than rep-deterministic.  Static cells, and scenarios it
+cannot vectorise, take this engine per block in fast mode too.
 """
 
 from __future__ import annotations

@@ -1,13 +1,26 @@
-"""The vectorised "fast" executor kernel — statistically equivalent,
-block-deterministic, opt-in.
+"""The vectorised "fast" executor kernel for the adaptive schemes —
+statistically equivalent, block-deterministic, opt-in.
 
 :func:`accumulate_range_fast` is the fast-mode peer of
 :func:`repro.sim.montecarlo.accumulate_range` (the exact, bit-identical
 path).  Selected via ``ExecutionSettings(kernel="fast")`` /
 ``--kernel fast``, it trades the exact mode's per-rep bit-identity for
-throughput — 3.6× the exact grid of table 1a's hardest row at
-4096-rep blocks (2.1–4.7× per scheme), but below exact on static and
-A_D cells at 64–84-rep blocks — in three rungs:
+throughput on the adaptive schemes (``A_D``, ``A_D_S``, ``A_D_C``:
+every :class:`~repro.core.schemes._AdaptiveBase` policy), whose
+replan at every detected fault is what its lookup table speeds up.
+Serial and warm on a 2-vCPU Xeon, at the default 256-rep block, it ran
+A_D cells at 1.4–1.8× exact and A_D_S/A_D_C cells at 2.3–3.1×
+(tables 1a, 3a and 4a, summed over each table's rows; 3.0× and 5.1× on
+table 1a at 2,048-rep blocks).
+
+Static cells (Poisson, k-f-t) fix one plan at start, and exact mode
+already walks their shared attempt sequence once per block: at
+256-rep blocks the kernel ran them at 0.68–0.78× exact.  So they take
+the exact path per block, and their fast-mode estimates equal exact
+mode's bit for bit; :class:`~repro.sim.backends.AnalyticCellJob`
+(``fast_static``) computes them in closed form at any block size.
+
+The kernel works in three rungs:
 
 1. **Batched RNG spawn** — one counter-based Philox stream per rep
    block (:meth:`repro.sim.rng.RandomSource.fast_block_stream`) draws
@@ -17,8 +30,8 @@ A_D cells at 64–84-rep blocks — in three rungs:
    numpy's ``SeedSequence``, ~4–6 µs through the block-seeded port in
    :mod:`repro.sim.seedseq`).
 2. **Table-driven adaptive replan** — per-fault replans resolve through
-   a quantised :class:`repro.core.schemes.ReplanTable` (bucket-centre
-   evaluation, exactness fallback off-table) instead of re-running the
+   a quantised :class:`ReplanTable` (bucket-centre evaluation,
+   exactness fallback off-table) instead of re-running the
    ``checkpoint_interval`` + ``num_SCP``/``num_CCP`` optimisation.
 3. **Fused segment loop over the pre-drawn fault slab** — the interval
    loop runs rep-synchronously over NumPy arrays (one vectorised
@@ -34,36 +47,32 @@ Contract
   estimates differ at statistical (not semantic) level — the
   statistical-equivalence suite (``tests/test_fast_kernel.py``) pins
   99 % CI overlap against exact mode for every golden scheme ×
-  fault-process pair.
+  fault-process pair the kernel runs.
 * **Block-deterministic within fast mode**: for a fixed chunk size the
   results are identical for any worker count and backend, because the
   block's draws and every replan-table value are pure functions of
   block identity (never of fill order).
 * **Falls back to the exact path per block** — same estimates as exact
   mode, per-rep substreams — whenever the cell is out of scope:
-  non-vectorisable fault processes (:class:`~repro.sim.faults.
-  BurstyFaults` and any process without :meth:`block_gaps`), policies
-  that are neither static nor :class:`_AdaptiveBase` subclasses, or
-  cost models with ``rollback_cycles != 0`` (both in-repo cost models
-  use ``t_r = 0``; the rollback-window corruption carry is the one
-  piece of exact semantics this kernel does not vectorise).
+  policies that are not :class:`_AdaptiveBase` subclasses (the static
+  baselines included), non-vectorisable fault processes
+  (:class:`~repro.sim.faults.BurstyFaults` and any process without
+  :meth:`block_gaps`), or cost models with ``rollback_cycles != 0``
+  (both in-repo cost models use ``t_r = 0``; the rollback-window
+  corruption carry is the one piece of exact semantics this kernel
+  does not vectorise).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.checkpoints import CheckpointKind
-from repro.core.schemes import (
-    ReplanTable,
-    _AdaptiveBase,
-    _StaticPolicy,
-    replan_table_for,
-)
+from repro.core.schemes import _AdaptiveBase
 from repro.choices import KERNEL_NAMES
 from repro.errors import ParameterError, SimulationError
 from repro.sim.energy import EnergyModel
@@ -82,19 +91,15 @@ from repro.sim.task import TaskSpec
 
 __all__ = [
     "KERNEL_NAMES",
+    "ReplanTable",
     "accumulate_range_fast",
     "kernel_supported",
+    "replan_table_for",
 ]
 
 #: Safety bound on fault-classification rounds within one interval
 #: (each round advances at least one rep's probe cursor by one fault).
 _MAX_SCAN_ROUNDS = 1_000_000
-
-#: Per-table cross-block replan cache: packed bucket key →
-#: ``(frequency, interval·f, planned m, effective m)``.  Energy-model
-#: independent (the coefficient layer is per block), pure bucket-centre
-#: values, so sharing across blocks cannot break block determinism.
-_SHARED_REPLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _KIND_CSCP = 0
 _KIND_SCP = 1
@@ -117,11 +122,203 @@ def kernel_supported(
     """
     if task.costs.rollback_cycles != 0.0:
         return False
-    if not isinstance(policy, (_StaticPolicy, _AdaptiveBase)):
+    if not isinstance(policy, _AdaptiveBase):
         return False
     if isinstance(faults, ScriptedFaults):
         return True
     return type(faults).block_gaps is not FaultProcess.block_gaps
+
+
+class ReplanTable:
+    """Quantised memo of an adaptive policy's per-fault replan decision.
+
+    Rung 2 of this kernel: instead of re-running ``_replan`` (the speed
+    choice, ``checkpoint_interval`` plus the ``num_SCP``/``num_CCP``
+    renewal-model optimisation — ~20 µs per ``num_CCP`` Brent search at
+    table 3/4 parameters on a 2-vCPU Intel Xeon) at every detected
+    fault, the (remaining_cycles, deadline_left, faults_left) query is
+    quantised onto a ``resolution × resolution`` grid and the decision
+    is evaluated **at the bucket centre**, lazily, once per bucket.
+
+    Two properties make the memo safe to share:
+
+    * values are a pure function of the bucket, never of the query that
+      first filled it — so the fill *order* cannot change results, and
+      a table shared across blocks/workers stays deterministic;
+    * queries outside the grid (overshot deadline, out-of-range work)
+      bypass the memo and evaluate the policy at the exact query point
+      — the exactness fallback the design calls for.
+
+    Thread-safe: a process-shared table (see :func:`replan_table_for`)
+    can be hit from concurrent scheduler/service threads, and
+    :meth:`_eval` works by mutating one reusable
+    :class:`ExecutionState` (and the wrapped policy's own caches) — so
+    evaluations are serialised under a per-table lock.  Memo reads stay
+    lock-free: a racing double-fill computes the same pure-function row
+    twice, which is wasted work, never a wrong answer.
+
+    ``resolution=0`` disables quantisation entirely: every lookup is an
+    exact evaluation (the conformance-test mode — the kernel then
+    replans with arithmetic identical to the exact executor's).
+
+    The quantised decision is statistically equivalent, not
+    bit-identical, to the exact replan; the exact executor never
+    touches this table.
+    """
+
+    __slots__ = (
+        "_policy",
+        "_resolution",
+        "_state",
+        "_rc_step",
+        "_dl_step",
+        "_deadline",
+        "_cycles",
+        "_memo",
+        "_packed",
+        "_eval_lock",
+    )
+
+    #: Default grid resolution per axis (empirically: fine enough that
+    #: the statistical-equivalence suite holds with wide margin, coarse
+    #: enough that a cell's working set is a few thousand buckets).
+    DEFAULT_RESOLUTION = 512
+
+    def __init__(
+        self,
+        policy: _AdaptiveBase,
+        task: TaskSpec,
+        *,
+        resolution: int = DEFAULT_RESOLUTION,
+    ) -> None:
+        if resolution < 0:
+            raise ParameterError(
+                f"resolution must be >= 0, got {resolution}"
+            )
+        self._policy = policy
+        self._resolution = resolution
+        self._state = ExecutionState.fresh(task)
+        self._deadline = task.deadline
+        self._cycles = task.cycles
+        if resolution:
+            self._rc_step = task.cycles / resolution
+            self._dl_step = task.deadline / resolution
+        else:
+            self._rc_step = 0.0
+            self._dl_step = 0.0
+        self._memo: dict = {}
+        # The kernel's cross-block cache: packed bucket key ->
+        # (frequency, interval·f, planned m, effective m).  Energy-model
+        # independent (the coefficient layer is per block) and pure
+        # bucket-centre values, so sharing it across blocks cannot
+        # break block determinism.
+        self._packed: dict = {}
+        self._eval_lock = threading.Lock()
+
+    @property
+    def resolution(self) -> int:
+        return self._resolution
+
+    @property
+    def entries(self) -> int:
+        """Memoised buckets so far (diagnostics)."""
+        return len(self._memo)
+
+    @property
+    def rc_step(self) -> float:
+        """Remaining-cycles bucket width (0.0 when resolution is 0)."""
+        return self._rc_step
+
+    @property
+    def dl_step(self) -> float:
+        """Deadline-left bucket width (0.0 when resolution is 0)."""
+        return self._dl_step
+
+    def lookup(
+        self, remaining_cycles: float, deadline_left: float, faults_left: float
+    ):
+        """``(frequency, interval_time, m)`` after a fault at this state."""
+        if (
+            self._resolution
+            and 0.0 < deadline_left <= self._deadline
+            and 0.0 < remaining_cycles <= self._cycles
+        ):
+            i = int(remaining_cycles / self._rc_step)
+            j = int(deadline_left / self._dl_step)
+            key = (i, j, faults_left)
+            row = self._memo.get(key)
+            if row is None:
+                row = self._eval(
+                    (i + 0.5) * self._rc_step,
+                    (j + 0.5) * self._dl_step,
+                    faults_left,
+                )
+                self._memo[key] = row
+            return row
+        # Off-table: evaluate at the exact query point.
+        return self._eval(remaining_cycles, deadline_left, faults_left)
+
+    def _eval(self, remaining_cycles: float, deadline_left: float,
+              faults_left: float):
+        with self._eval_lock:
+            state = self._state
+            state.remaining_cycles = remaining_cycles
+            state.clock = self._deadline - deadline_left
+            state.faults_left = faults_left
+            state.frequency = 1.0  # overwritten by _replan
+            policy = self._policy
+            policy.on_fault(state)
+            plan = policy.plan(state)
+            return (state.frequency, plan.interval_time, plan.m)
+
+
+#: Process-level shared replan tables, keyed by
+#: (scheme class, config, task, resolution); bounded by clearing.
+#: Shared only for classes whose constructor is exactly
+#: ``_AdaptiveBase.__init__`` (the soundness guard of the schemes'
+#: start memo): a subclass with extra constructor state is not a pure
+#: function of the key.
+_REPLAN_TABLES: dict = {}
+
+#: Guards the registry's get/clear/insert sequence — concurrent
+#: scheduler threads must converge on ONE table per key, or the
+#: cross-block sharing the registry exists for silently degrades.
+_REPLAN_TABLES_LOCK = threading.Lock()
+
+
+def replan_table_for(
+    policy: _AdaptiveBase,
+    task: TaskSpec,
+    *,
+    resolution: int = ReplanTable.DEFAULT_RESOLUTION,
+) -> ReplanTable:
+    """A :class:`ReplanTable` for the adaptive ``policy``, shared when
+    that is sound.
+
+    Sharable policies (constructor is exactly the base's) get the
+    process-level memo — amortising bucket evaluations across every
+    block of every cell with the same (scheme, config, task); others
+    get a private table wrapped around the given instance.
+    """
+    if type(policy).__init__ is not _AdaptiveBase.__init__:
+        return ReplanTable(policy, task, resolution=resolution)
+    key = (type(policy), policy.config, task, resolution)
+    try:
+        hash(key)
+    except TypeError:  # unhashable custom config
+        return ReplanTable(
+            type(policy)(policy.config), task, resolution=resolution
+        )
+    with _REPLAN_TABLES_LOCK:
+        table = _REPLAN_TABLES.get(key)
+        if table is None:
+            table = ReplanTable(
+                type(policy)(policy.config), task, resolution=resolution
+            )
+            if len(_REPLAN_TABLES) > 64:
+                _REPLAN_TABLES.clear()
+            _REPLAN_TABLES[key] = table
+        return table
 
 
 def _initial_columns(faults: FaultProcess, deadline: float) -> int:
@@ -314,15 +511,10 @@ def _run_block(
     is_cscp = kind == _KIND_CSCP
     derived: dict = {}  # packed bucket key -> values incl. coefficient
     cycles_t = task.cycles
-    resolution_q = table.resolution if table is not None else 0
-    rc_step = table.rc_step if table is not None else 0.0
-    dl_step = table.dl_step if table is not None else 0.0
-    if resolution_q:
-        shared = _SHARED_REPLANS.get(table)
-        if shared is None:
-            shared = _SHARED_REPLANS[table] = {}
-    else:
-        shared = {}
+    resolution_q = table.resolution
+    rc_step = table.rc_step
+    dl_step = table.dl_step
+    shared = table._packed  # written only for on-table (key >= 0) rows
 
     while True:
         a = np.flatnonzero(running)
@@ -512,73 +704,72 @@ def _run_block(
         # and every query when the table is in exactness mode
         # (resolution 0) or off-table — resolve through the table, so
         # the values are always bucket-centre pure (fill-order free).
-        if table is not None:
-            faulted = a[corrupt]
-            if faulted.size:
-                rem_f = rem[faulted]
-                dl_f = deadline - clock[faulted]
-                fl_f = fl[faulted]
-                if resolution_q:
-                    on = (
-                        (dl_f > 0.0)
-                        & (dl_f <= deadline)
-                        & (rem_f > 0.0)
-                        & (rem_f <= cycles_t)
-                    )
-                    i_q = (np.where(on, rem_f, 0.0) / rc_step).astype(
-                        np.int64
-                    )
-                    j_q = (np.where(on, dl_f, 0.0) / dl_step).astype(
-                        np.int64
-                    )
-                    fl_i = fl_f.astype(np.int64) + 2048
-                    packed = np.where(
-                        on,
-                        ((i_q * resolution_q + j_q) << 12) | fl_i,
-                        np.int64(-1),
-                    ).tolist()
-                else:
-                    packed = [-1] * faulted.size
-                out = [None] * faulted.size
-                get = derived.get
-                sget = shared.get
-                lookup = table.lookup
-                rem_l = rem_f.tolist()
-                dl_l = dl_f.tolist()
-                fl_l = fl_f.tolist()
-                for p, key in enumerate(packed):
-                    d = get(key) if key >= 0 else None
-                    if d is None:
-                        s = sget(key) if key >= 0 else None
-                        if s is None:
-                            fq, it, pmv = lookup(
-                                rem_l[p], dl_l[p], fl_l[p]
-                            )
-                            ivf_r = it * fq
-                            s = (
-                                fq,
-                                ivf_r,
-                                pmv,
-                                _effective_subdivisions(pmv, ivf_r),
-                            )
-                            if key >= 0:
-                                shared[key] = s
-                        fq = s[0]
-                        c = coef_by_freq.get(fq)
-                        if c is None:
-                            v = voltage_of(fq)
-                            c = nproc * v * v
-                            coef_by_freq[fq] = c
-                        d = s + (c,)
+        faulted = a[corrupt]
+        if faulted.size:
+            rem_f = rem[faulted]
+            dl_f = deadline - clock[faulted]
+            fl_f = fl[faulted]
+            if resolution_q:
+                on = (
+                    (dl_f > 0.0)
+                    & (dl_f <= deadline)
+                    & (rem_f > 0.0)
+                    & (rem_f <= cycles_t)
+                )
+                i_q = (np.where(on, rem_f, 0.0) / rc_step).astype(
+                    np.int64
+                )
+                j_q = (np.where(on, dl_f, 0.0) / dl_step).astype(
+                    np.int64
+                )
+                fl_i = fl_f.astype(np.int64) + 2048
+                packed = np.where(
+                    on,
+                    ((i_q * resolution_q + j_q) << 12) | fl_i,
+                    np.int64(-1),
+                ).tolist()
+            else:
+                packed = [-1] * faulted.size
+            out = [None] * faulted.size
+            get = derived.get
+            sget = shared.get
+            lookup = table.lookup
+            rem_l = rem_f.tolist()
+            dl_l = dl_f.tolist()
+            fl_l = fl_f.tolist()
+            for p, key in enumerate(packed):
+                d = get(key) if key >= 0 else None
+                if d is None:
+                    s = sget(key) if key >= 0 else None
+                    if s is None:
+                        fq, it, pmv = lookup(
+                            rem_l[p], dl_l[p], fl_l[p]
+                        )
+                        ivf_r = it * fq
+                        s = (
+                            fq,
+                            ivf_r,
+                            pmv,
+                            _effective_subdivisions(pmv, ivf_r),
+                        )
                         if key >= 0:
-                            derived[key] = d
-                    out[p] = d
-                fq_a, ivf_n, pm_n, mf_n, c_a = zip(*out)
-                freq[faulted] = fq_a
-                ivf[faulted] = ivf_n
-                pm[faulted] = pm_n
-                mf[faulted] = mf_n
-                coef[faulted] = c_a
+                            shared[key] = s
+                    fq = s[0]
+                    c = coef_by_freq.get(fq)
+                    if c is None:
+                        v = voltage_of(fq)
+                        c = nproc * v * v
+                        coef_by_freq[fq] = c
+                    d = s + (c,)
+                    if key >= 0:
+                        derived[key] = d
+                out[p] = d
+            fq_a, ivf_n, pm_n, mf_n, c_a = zip(*out)
+            freq[faulted] = fq_a
+            ivf[faulted] = ivf_n
+            pm[faulted] = pm_n
+            mf[faulted] = mf_n
+            coef[faulted] = c_a
 
     timely = completed & (clock <= deadline + eps)
     slab.timely[:n] = timely

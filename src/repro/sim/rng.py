@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
+from repro.errors import require_count
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps numpy.random lazy
     from repro.sim.seedseq import SpawnMixer
 
@@ -31,9 +33,9 @@ class RandomSource:
     """A root seed from which independent substreams are derived."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
-        if self._seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        # An int >= 0, never truncated: RandomSource(2.7) would draw
+        # seed 2's streams.
+        self._seed = require_count("seed", seed, 0)
         self._mixer: Optional["SpawnMixer"] = None
 
     @property

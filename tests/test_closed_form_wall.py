@@ -1,14 +1,16 @@
 """The closed-form wall: every static cell of Tables 1-4, exact mode
-and the fast kernel against its analytic outcome, plus the worst case
-under ``k`` scripted faults.
+against its analytic outcome, fast mode against exact mode, plus the
+worst case under ``k`` scripted faults.
 
-The exact executor and the vectorised fast kernel sample each cell;
+The exact executor samples each cell;
 :func:`~repro.core.analysis.static_outcome` computes it without
-sampling.  It shares no code with either sampler, so holding all 104
+sampling.  It shares no code with the sampler, so holding all 104
 static cells to the closed form checks fault injection, detection,
-rollback, abandonment, timing and energy at once.
+rollback, abandonment, timing and energy at once.  Fast mode runs
+static cells on the exact path block by block, so its estimates must
+be exact mode's bit for bit.
 
-Bands (the same for both kernels):
+Bands:
 
 * the timely count lies inside the central ``1 - 1e-4`` exact binomial
   interval of the analytic ``P`` (a normal z would call 2 timely runs
@@ -37,8 +39,7 @@ from repro.api.plans import table_cells
 from repro.core.analysis import static_expected_time, static_outcome
 from repro.experiments.config import all_table_specs
 from repro.sim.executor import simulate_run
-from repro.sim.faults import PoissonFaults, ScriptedFaults
-from repro.sim.kernel import kernel_supported
+from repro.sim.faults import ScriptedFaults
 from repro.sim.metrics import _z_value
 from repro.sim.parallel import BatchRunner
 
@@ -73,25 +74,6 @@ def wall():
     ]
 
 
-@pytest.fixture(scope="module")
-def fast_jobs():
-    """Every static cell's exact-mode job, switched to the fast kernel."""
-    return [
-        dataclasses.replace(plan.job, kernel="fast")
-        for _, plan in _static_cells(fast_static=False)
-    ]
-
-
-@pytest.fixture(scope="module")
-def fast_wall(wall, fast_jobs):
-    """(label, fast-kernel estimate, analytic estimate, analytic job)."""
-    sampled = BatchRunner().run_cells(fast_jobs)
-    return [
-        (label, ours, theirs, job)
-        for (label, _exact, theirs, job), ours in zip(wall, sampled)
-    ]
-
-
 def _binomial_tails(successes, trials, p):
     """P(X <= successes) and P(X >= successes) for X ~ Bin(trials, p)."""
     pmf = [
@@ -119,9 +101,9 @@ def test_covers_every_static_cell(wall):
     assert len(wall) == 104
 
 
-def _assert_timely_counts_in_band(cells):
+def test_timely_counts_inside_exact_binomial_interval(wall):
     worst = None
-    for label, sampled, analytic, _job in cells:
+    for label, sampled, analytic, _job in wall:
         successes = round(sampled.p * sampled.reps)
         lower, upper = _binomial_tails(successes, sampled.reps, analytic.p)
         tail = min(lower, upper)
@@ -134,9 +116,10 @@ def _assert_timely_counts_in_band(cells):
     )
 
 
-def _assert_energies_in_band(cells, field):
+@pytest.mark.parametrize("field", ["energy_all", "energy_timely"])
+def test_energies_within_standard_errors(wall, field):
     worst = (0.0, None)
-    for label, sampled, analytic, _job in cells:
+    for label, sampled, analytic, _job in wall:
         sample = getattr(sampled, field)
         if field == "energy_timely" and sample.count < 30:
             continue
@@ -147,32 +130,17 @@ def _assert_energies_in_band(cells, field):
     assert abs(z) <= MAX_Z, f"{label}: {field} is {z:+.2f} standard errors off"
 
 
-def test_timely_counts_inside_exact_binomial_interval(wall):
-    _assert_timely_counts_in_band(wall)
-
-
-@pytest.mark.parametrize("field", ["energy_all", "energy_timely"])
-def test_energies_within_standard_errors(wall, field):
-    _assert_energies_in_band(wall, field)
-
-
-def test_fast_kernel_vectorises_every_static_cell(fast_jobs):
-    # Otherwise the fast wall would check the kernel's exact fallback.
+def test_fast_mode_static_cells_are_exact_mode_bit_for_bit(wall):
+    # The fast kernel runs only adaptive cells: static ones take the
+    # exact path block by block, so nothing about them may move.
+    fast_jobs = [
+        dataclasses.replace(plan.job, kernel="fast")
+        for _, plan in _static_cells(fast_static=False)
+    ]
     assert len(fast_jobs) == 104
-    for job in fast_jobs:
-        faults = job.faults
-        if faults is None:
-            faults = PoissonFaults(job.task.fault_rate)
-        assert kernel_supported(job.task, job.policy_factory(), faults), job
-
-
-def test_fast_kernel_timely_counts_inside_exact_binomial_interval(fast_wall):
-    _assert_timely_counts_in_band(fast_wall)
-
-
-@pytest.mark.parametrize("field", ["energy_all", "energy_timely"])
-def test_fast_kernel_energies_within_standard_errors(fast_wall, field):
-    _assert_energies_in_band(fast_wall, field)
+    fast = BatchRunner().run_cells(fast_jobs)
+    for (label, exact, _analytic, _job), ours in zip(wall, fast):
+        assert ours.same_values(exact), label
 
 
 def test_static_schemes_meet_the_worst_case_under_k_faults():

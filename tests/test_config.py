@@ -14,7 +14,7 @@ from repro.core.schemes import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.config import DEADLINE, all_table_specs, table_spec
-from repro.experiments.paper_data import COLUMNS, TABLE_IDS, paper_rows
+from repro.experiments.paper_data import COLUMNS, TABLE_IDS
 
 
 class TestTableSpecs:
@@ -25,11 +25,6 @@ class TestTableSpecs:
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigurationError):
             table_spec("5a")
-
-    def test_rows_match_paper_data(self):
-        for table_id in TABLE_IDS:
-            spec = table_spec(table_id)
-            assert list(spec.rows) == paper_rows(table_id)
 
     def test_cost_families(self):
         assert table_spec("1a").costs.store_cycles == 2

@@ -4,15 +4,15 @@ Exact side: under *scripted* (deterministic) faults the vectorised
 engine must reproduce the exact executor's semantics — identical
 counters, energies equal to float tolerance — for every scenario of
 the golden matrix, with the replan table at ``resolution=0`` (no
-quantisation).  Fallback scenarios (non-zero rollback cost, fault
-processes without block pre-draws) must produce *bit-identical*
-estimates, because they run the exact engine per block.
+quantisation).  Fallback scenarios (static policies, non-zero rollback
+cost, fault processes without block pre-draws) must produce
+*bit-identical* estimates, because they run the exact engine per block.
 
 Statistical side: under stochastic faults the fast kernel draws
 different (equally valid) streams, so the contract is equivalence, not
 identity — the 99 % confidence intervals of exact and fast estimates
 must overlap for every scheme × fault-process pair of the golden
-matrix.
+matrix that the kernel runs.
 
 Determinism side: fast mode is *block-deterministic* — for a fixed
 (seed, block size), every backend and worker count produces identical
@@ -26,24 +26,20 @@ import math
 
 import pytest
 
+from repro.api.plans import table_cells
 from repro.core.checkpoints import CheckpointKind, CostModel
-from repro.core.schemes import (
-    AdaptiveSCPPolicy,
-    Plan,
-    PoissonArrivalPolicy,
-    ReplanTable,
-    _StaticPolicy,
-    replan_table_for,
-)
+from repro.core.schemes import AdaptiveSCPPolicy, _AdaptiveBase
 from repro.errors import ParameterError
-from repro.experiments.config import table_spec
+from repro.experiments.config import all_table_specs, table_spec
 from repro.goldens.scenarios import GOLDEN_SCENARIOS
 from repro.sim.backends import ProcessBackend, SerialBackend
 from repro.sim.faults import BurstyFaults, PoissonFaults, ScriptedFaults
 from repro.sim.kernel import (
     KERNEL_NAMES,
+    ReplanTable,
     accumulate_range_fast,
     kernel_supported,
+    replan_table_for,
 )
 from repro.sim.montecarlo import accumulate_range
 from repro.sim.parallel import BatchRunner
@@ -121,30 +117,29 @@ def test_scripted_conformance_matches_exact_engine(scen, fdo):
     )
 
 
-class _CscpSubdividedPolicy(_StaticPolicy):
-    """A static plan with three interior CSCPs (no in-repo scheme plans
-    interior CSCPs)."""
+class _CscpSubdividedPolicy(_AdaptiveBase):
+    """An adaptive plan with three interior CSCPs (no in-repo scheme
+    plans interior CSCPs)."""
 
-    name = "static-cscp-m4"
+    name = "adaptive-cscp-m4"
 
-    def start(self, state):
-        super().start(state)
-        self._plan = Plan(
-            interval_time=self._interval(state), m=4, sub_kind=CheckpointKind.CSCP
-        )
+    def _subdivide(self, state, interval):
+        return 4
 
-    def _interval(self, state):
-        return 100.0
+    def _sub_kind(self):
+        return CheckpointKind.CSCP
 
 
 def test_interior_cscp_detection_keeps_verified_work():
     """A fault in the last sub-interval is detected at the closing
     CSCP; the three clean interior CSCPs stored 75 cycles, so only 25
-    are retried: finish 188 + 113 = 301 in both kernels."""
+    are retried: finish 188 + 113 = 301 in both kernels.  With no fault
+    budget the interval procedure plans the whole task as one interval
+    (``sqrt(2C/λ)`` > 100 cycles), before and after the fault."""
     task = TaskSpec(
         cycles=100.0,
         deadline=10_000.0,
-        fault_budget=5,
+        fault_budget=0,
         fault_rate=1e-3,
         costs=CostModel.scp_favourable(),
     )
@@ -154,7 +149,8 @@ def test_interior_cscp_detection_keeps_verified_work():
         task, _CscpSubdividedPolicy, start=0, stop=_REPS, faults=faults
     ).finalize()
     fast = accumulate_range_fast(
-        task, _CscpSubdividedPolicy, start=0, stop=_REPS, faults=faults
+        task, _CscpSubdividedPolicy, start=0, stop=_REPS, faults=faults,
+        resolution=0,
     ).finalize()
     assert exact.mean_finish_time_timely == pytest.approx(301.0)
     assert fast.mean_finish_time_timely == pytest.approx(301.0)
@@ -205,6 +201,72 @@ def test_bursty_faults_fall_back_to_exact_bit_identically():
         task, AdaptiveSCPPolicy, start=0, stop=32, seed=7, faults=faults
     ).finalize()
     assert fast.same_values(exact)
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [
+        s
+        for s in GOLDEN_SCENARIOS
+        if not kernel_supported(s.task, s.build_policy(), s.faults)
+    ],
+    ids=lambda s: s.name,
+)
+def test_out_of_scope_golden_scenarios_fall_back_bit_identically(scen):
+    """The static scenarios, bursty faults and the rollback cost."""
+    kwargs = dict(
+        start=0,
+        stop=64,
+        seed=scen.seed,
+        faults=scen.faults,
+        faults_during_overhead=scen.faults_during_overhead,
+    )
+    exact = accumulate_range(scen.task, scen.build_policy, **kwargs)
+    fast = accumulate_range_fast(scen.task, scen.build_policy, **kwargs)
+    assert fast.finalize().same_values(exact.finalize())
+
+
+def test_kernel_runs_the_adaptive_table_cells_and_no_static_one():
+    for spec in all_table_specs():
+        for plan in table_cells(spec, reps=8, seed=1):
+            job = plan.job
+            faults = job.faults or PoissonFaults(job.task.fault_rate)
+            adaptive = dict(plan.axes)["scheme"] not in ("Poisson", "k-f-t")
+            assert kernel_supported(
+                job.task, job.policy_factory(), faults
+            ) == adaptive, (spec.table_id, plan.key)
+
+
+def test_fast_table_study_runs_static_cells_exactly(monkeypatch):
+    """A ``kernel="fast"`` table study: its Poisson and k-f-t records
+    are exact mode's bit for bit, and every adaptive cell's block ran
+    through the vectorised engine."""
+    from repro.api import Session, Study, StudySpec
+    from repro.sim import kernel as kernel_mod
+
+    vectorised = []
+    run_block = kernel_mod._run_block
+
+    def counting_run_block(*args):
+        vectorised.append(args[6].name)  # the block's policy
+        return run_block(*args)
+
+    monkeypatch.setattr(kernel_mod, "_run_block", counting_run_block)
+    spec = StudySpec(kind="table", table="3a", reps=64, seed=5)
+    with Session() as session:
+        exact = Study(spec).run(session)
+        fast = Study(dataclasses.replace(spec, kernel="fast")).run(session)
+    assert fast.kernel == "fast"
+    adaptive = []
+    for key in exact.keys():
+        scheme = exact.record(key).axes["scheme"]
+        if scheme in ("Poisson", "k-f-t"):
+            assert fast.estimate(key).same_values(exact.estimate(key)), key
+        else:
+            adaptive.append(scheme)
+    # One 64-rep block per cell: every adaptive cell, no static one.
+    assert sorted(vectorised) == sorted(adaptive)
+    assert {"A_D", "A_D_C"} <= set(adaptive)
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +418,15 @@ def test_replan_table_is_fill_order_independent():
     assert a == b
 
 
-def test_replan_table_for_static_policy_is_none():
-    task = _fallback_task()
-    assert replan_table_for(PoissonArrivalPolicy(1.0), task) is None
-    assert replan_table_for(AdaptiveSCPPolicy(), task) is not None
-
-
 def test_replan_table_for_returns_one_shared_table_across_threads():
     """Concurrent registry lookups must converge on ONE table per key —
     the cross-block sharing the registry exists for."""
     import threading
 
-    from repro.core import schemes as schemes_mod
+    from repro.sim import kernel as kernel_mod
 
     task = _fallback_task()
-    schemes_mod._REPLAN_TABLES.clear()
+    kernel_mod._REPLAN_TABLES.clear()
     tables = [None] * 16
     barrier = threading.Barrier(8)
 

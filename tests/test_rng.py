@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ParameterError
 from repro.sim.rng import RandomSource
 
 from tests.conftest import repro_env
@@ -68,6 +69,14 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             RandomSource(-1)
         assert RandomSource(0).seed == 0
+
+    @pytest.mark.parametrize(
+        "seed", [2.7, 3.0, True, False, "3", None], ids=repr
+    )
+    def test_non_integer_seed_rejected(self, seed):
+        # Truncating would run another seed's streams: 2.7 drew seed 2's.
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            RandomSource(seed)
 
     def test_numpy_random_loads_on_first_draw(self):
         code = (
