@@ -184,7 +184,9 @@ def bench_kernels(fast_reps: int, rounds: int) -> Dict[str, object]:
         print(f"{scheme:>8}: fast {rate:>10,.0f} reps/s ({fast_reps} reps)")
 
     reps = DEFAULT_BLOCK_SIZE
-    exact_jobs = [job for scheme, job in zip(schemes, jobs) if scheme in ADAPTIVE]
+    exact_jobs = [
+        job for scheme, job in zip(schemes, jobs) if scheme in ADAPTIVE
+    ]
     fast_jobs = [dataclasses.replace(job, kernel="fast") for job in exact_jobs]
     _seconds(exact_jobs, reps)
     _seconds(fast_jobs, reps)
@@ -335,10 +337,11 @@ def check(
             f"fast kernel speedup over exact on the adaptive cells is "
             f"x{speedup:.2f}, below the x{min_fast_speedup:g} gate"
         )
-    if fast_grid_floor is not None and gate["fast_reps_per_sec"] < fast_grid_floor:
+    fast_rate = gate["fast_reps_per_sec"]
+    if fast_grid_floor is not None and fast_rate < fast_grid_floor:
         failures.append(
             f"fast kernel throughput on the adaptive cells "
-            f"{gate['fast_reps_per_sec']:,.0f} reps/s is below the "
+            f"{fast_rate:,.0f} reps/s is below the "
             f"{fast_grid_floor:,.0f} reps/s acceptance floor"
         )
     for name, entry in report["backends"].items():
